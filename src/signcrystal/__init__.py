@@ -24,8 +24,8 @@ from .errors import (
 from .params import IRRATIONAL, CValue, Params, ZClass, cyclotomic_c, hecke_parameters
 from .realizations import (
     ZBoundary,
+    boundaries,
     boundary,
-    boundary_classes,
     class_member,
     class_representative,
     crystal_add,

@@ -141,7 +141,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--z", default="all", help="'all', a class object, or a list of classes")
     p.add_argument("--format", default="json", choices=["json", "dot"])
     p.add_argument("--ceiling", type=int, help="node ceiling override")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument(
@@ -332,9 +331,7 @@ def _cmd_graph(args):
             )
         classes = [serialize.zclass_from_json(item, params) for item in obj]
     ceiling = args.ceiling if args.ceiling is not None else engine.DEFAULT_NODE_CEILING
-    graph = engine.build_graph(
-        params, args.max_boxes, classes=classes, node_ceiling=ceiling, workers=args.workers
-    )
+    graph = engine.build_graph(params, args.max_boxes, classes=classes, node_ceiling=ceiling)
     if args.format == "dot":
         return serialize.graph_to_dot(graph)
     return serialize.graph_to_json(graph)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import naive
@@ -15,10 +14,9 @@ from .errors import DegenerateClassError, ResourceCeilingError, ValidationError
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     REMOVABLE,
+    apply_flip,
     boundary,
-    boundary_classes,
-    crystal_add,
-    crystal_remove,
+    boundaries,
     gl_crystal_add,
     gl_crystal_remove,
     gl_positions,
@@ -43,19 +41,13 @@ DEFAULT_NODE_CEILING = 2_000_000
 DEFAULT_WORD_CEILING = 1 << 14
 
 
-def removable_classes(params: Params, m: Multipartition) -> list[ZClass]:
-    """Classes holding at least one removable box, sorted."""
-    return sorted({params.z_class(box) for box in m.removable_boxes})
-
-
 def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
     """Number of box-removing crystal moves down to a stuck label,
     maximized over classes.
 
     Only classes with a removable box can move, so the maximum over all
     classes reduces to a finite one.  `memo` may be shared across calls
-    with the same parameters; plain dict insertion keeps concurrent
-    sharing safe under the GIL.
+    with the same parameters.
     """
     if m.ell != params.ell:
         raise ValidationError(
@@ -69,8 +61,10 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
         if known is not None:
             return known
         best = 0
-        for z in removable_classes(params, mp):
-            step = crystal_remove(params, mp, z)
+        for b in boundaries(params, mp).values():
+            if MINUS not in b.sign:
+                continue
+            step = apply_flip(mp, b, raising=False)
             if step is not None:
                 candidate = 1 + go(step[0])
                 if candidate > best:
@@ -124,18 +118,14 @@ def build_graph(
     max_boxes: int,
     classes=None,
     node_ceiling: int = DEFAULT_NODE_CEILING,
-    workers: int = 1,
 ) -> CrystalGraph:
     """Crystal graph on all multipartitions with at most max_boxes boxes.
 
     Edges are the box-adding moves whose target stays inside the node set;
     per class every node has at most one outgoing and one incoming edge.
-    Output is deterministic for any worker count.
     """
     if not isinstance(max_boxes, int) or isinstance(max_boxes, bool) or max_boxes < 0:
         raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
-    if workers < 1:
-        raise ValidationError("workers must be at least 1")
     allowed = None
     if classes is not None:
         allowed = tuple(sorted({params.coerce_class(z) for z in classes}))
@@ -146,27 +136,18 @@ def build_graph(
             raise ResourceCeilingError(f"graph would exceed the node ceiling {node_ceiling}")
     nodes.sort(key=lambda mp: mp.sort_key())
 
-    def edges_from(mp: Multipartition) -> list[GraphEdge]:
+    edges = []
+    for mp in nodes:
         if mp.size >= max_boxes:
-            return []
-        out = []
-        for z in sorted({params.z_class(box) for box in mp.addable_boxes}):
+            continue
+        for z, b in boundaries(params, mp).items():
             if allowed is not None and z not in allowed:
                 continue
-            step = crystal_add(params, mp, z)
+            step = apply_flip(mp, b, raising=True)
             if step is not None:
-                out.append(GraphEdge(mp, step[0], z, step[1]))
-        return out
-
-    if workers == 1:
-        edges = [edge for mp in nodes for edge in edges_from(mp)]
-    else:
-        chunks = [nodes[k::workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(
-                pool.map(lambda chunk: [e for mp in chunk for e in edges_from(mp)], chunks)
-            )
-        edges = [edge for batch in batches for edge in batch]
+                edges.append(GraphEdge(mp, step[0], z, step[1]))
+    # Already in this order; kept because dropping it moves a full garbage
+    # collection into perfbench's timed string_decomposition calls.
     edges.sort(key=lambda e: (e.source.sort_key(), e.z))
     return CrystalGraph(params, max_boxes, tuple(nodes), tuple(edges), allowed)
 
@@ -210,7 +191,8 @@ class VerifyReport:
 
 
 def verify(suite: str, **bounds) -> VerifyReport:
-    """Run a named exhaustive suite; reports the first counterexample."""
+    """Run a named exhaustive suite; reports the first counterexample.
+    Bounds that leave nothing to check are a ValidationError, not a pass."""
     runners = {
         "axioms": _verify_axioms,
         "confluence": _verify_confluence,
@@ -223,7 +205,10 @@ def verify(suite: str, **bounds) -> VerifyReport:
     runner = runners.get(suite)
     if runner is None:
         raise ValidationError(f"unknown suite {suite!r}; choose from {sorted(runners)}")
-    return runner(**bounds)
+    report = runner(**bounds)
+    if report.passed and report.checked == 0:
+        raise ValidationError(f"suite {suite!r} checks nothing under the bounds {report.bounds}")
+    return report
 
 
 def _check_word_budget(n: int, word_ceiling: int) -> None:
@@ -366,12 +351,12 @@ def _verify_realization_consistency(
     kappa = params.kappa if params.is_rational else None
     checked = 0
     for m in multipartitions_up_to(params.ell, max_boxes):
-        for z in boundary_classes(params, m):
+        for z, b in boundaries(params, m).items():
             zp = (z.kind, z.value)
             checked += 1
             for production, reference in (
-                (crystal_add(params, m, z), naive.crystal_add(params.ell, kappa, params.charges, m.components, zp)),
-                (crystal_remove(params, m, z), naive.crystal_remove(params.ell, kappa, params.charges, m.components, zp)),
+                (apply_flip(m, b, raising=True), naive.crystal_add(params.ell, kappa, params.charges, m.components, zp)),
+                (apply_flip(m, b, raising=False), naive.crystal_remove(params.ell, kappa, params.charges, m.components, zp)),
             ):
                 if not _same_step(production, reference):
                     return VerifyReport(

@@ -221,4 +221,5 @@ def cyclotomic_c(params: Params) -> tuple[Fraction, tuple[complex, ...]]:
 
 
 def _unit_exp(x: Fraction) -> complex:
-    return cmath.exp(2j * math.pi * float(x))
+    # reduce exactly first: float(x) of a huge x has no fractional digits left
+    return cmath.exp(2j * math.pi * float(x % 1))

@@ -53,22 +53,31 @@ def boundary(params: Params, m: Multipartition, z: ZClass) -> ZBoundary:
     z = params.coerce_class(z)
     found = [(box, ADDABLE) for box in m.addable_boxes if params.z_class(box) == z]
     found += [(box, REMOVABLE) for box in m.removable_boxes if params.z_class(box) == z]
-    found.sort(key=lambda entry: params.d_sort_key(entry[0]))
-    for (x, _), (y, _) in zip(found, found[1:]):
-        if params.d_diff(y, x) <= 0:
-            raise DTieError(f"boxes {tuple(x)} and {tuple(y)} share a d-value in class {z}")
+    return _sorted_boundary(params, z, found)
+
+
+def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
+    """Every nonempty class boundary of m, in class order: one pass buckets
+    the addable and removable boxes, so the keys are the classes m meets."""
+    _check_pair(params, m)
+    found: dict[ZClass, list[tuple[BoxRef, str]]] = {}
+    for box in m.addable_boxes:
+        found.setdefault(params.z_class(box), []).append((box, ADDABLE))
+    for box in m.removable_boxes:
+        found.setdefault(params.z_class(box), []).append((box, REMOVABLE))
+    return {z: _sorted_boundary(params, z, found[z]) for z in sorted(found)}
+
+
+def _sorted_boundary(params: Params, z: ZClass, found: list[tuple[BoxRef, str]]) -> ZBoundary:
+    if len(found) > 1:
+        found.sort(key=lambda entry: params.d_sort_key(entry[0]))
+        for (x, _), (y, _) in zip(found, found[1:]):
+            if params.d_diff(y, x) <= 0:
+                raise DTieError(f"boxes {tuple(x)} and {tuple(y)} share a d-value in class {z}")
     boxes = tuple(box for box, _ in found)
     kinds = tuple(kind for _, kind in found)
     sign = "".join(PLUS if kind == ADDABLE else MINUS for kind in kinds)
     return ZBoundary(z, boxes, kinds, sign)
-
-
-def boundary_classes(params: Params, m: Multipartition) -> list[ZClass]:
-    """Distinct classes met by the addable/removable boxes, sorted."""
-    _check_pair(params, m)
-    seen = {params.z_class(box) for box in m.addable_boxes}
-    seen.update(params.z_class(box) for box in m.removable_boxes)
-    return sorted(seen)
 
 
 def class_representative(params: Params, m: Multipartition, z: ZClass) -> Multipartition:
@@ -108,22 +117,22 @@ def class_member(params: Params, m: Multipartition, z: ZClass, word: str) -> Mul
 
 def crystal_add(params: Params, m: Multipartition, z: ZClass) -> tuple[Multipartition, BoxRef] | None:
     """Add the box at the raising flip of the boundary word; None if h_plus = 0."""
-    b = boundary(params, m, z)
-    step = e_tilde(b.sign)
-    if step is None:
-        return None
-    box = b.boxes[step[1] - 1]
-    return m.add_box(box), box
+    return apply_flip(m, boundary(params, m, z), raising=True)
 
 
 def crystal_remove(params: Params, m: Multipartition, z: ZClass) -> tuple[Multipartition, BoxRef] | None:
     """Remove the box at the lowering flip of the boundary word; None if h_minus = 0."""
-    b = boundary(params, m, z)
-    step = f_tilde(b.sign)
+    return apply_flip(m, boundary(params, m, z), raising=False)
+
+
+def apply_flip(m: Multipartition, b: ZBoundary, raising: bool) -> tuple[Multipartition, BoxRef] | None:
+    """Apply the raising (box-adding) or lowering (box-removing) flip of
+    m's boundary b; None when the word has no such flip."""
+    step = e_tilde(b.sign) if raising else f_tilde(b.sign)
     if step is None:
         return None
     box = b.boxes[step[1] - 1]
-    return m.remove_box(box), box
+    return (m.add_box(box) if raising else m.remove_box(box)), box
 
 
 def kgroup_induction(params: Params, m: Multipartition, z: ZClass) -> list[Multipartition]:

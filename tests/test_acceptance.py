@@ -18,7 +18,7 @@ from functools import lru_cache
 import oracles
 from signcrystal.engine import build_graph, depth, string_decomposition, verify
 from signcrystal.params import IRRATIONAL, Params, ZClass, cyclotomic_c, hecke_parameters
-from signcrystal.realizations import boundary, boundary_classes, crystal_add, crystal_remove
+from signcrystal.realizations import boundaries, boundary, crystal_add, crystal_remove
 from signcrystal.signstrings import iter_words, reduced_form
 from signcrystal.young import Multipartition, multipartitions_up_to
 
@@ -95,7 +95,7 @@ def test_c05_d_separation():
     pairs = 0
     for p in sweep_params():
         for m in nodes(p.ell):
-            for z in boundary_classes(p, m):
+            for z in sorted(boundaries(p, m)):
                 b = boundary(p, m, z)  # raises on a d-tie
                 for x, y in itertools.combinations(b.boxes, 2):
                     gap = p.d_diff(x, y)  # raises on a non-integer gap
@@ -112,7 +112,7 @@ def test_c06_differential_oracle():
     for p in sweep_params():
         kappa = p.kappa if p.is_rational else None
         for m in nodes(p.ell):
-            for z in boundary_classes(p, m):
+            for z in sorted(boundaries(p, m)):
                 zp = (z.kind, z.value)
                 for production, reference in (
                     (crystal_add(p, m, z), oracles.oracle_add(kappa, p.ell, p.charges, m.components, zp)),
@@ -148,7 +148,7 @@ def test_c08_inverse_pairing():
     checked = 0
     for p in sweep_params():
         for m in nodes(p.ell):
-            for z in boundary_classes(p, m):
+            for z in sorted(boundaries(p, m)):
                 up = crystal_add(p, m, z)
                 if up is not None:
                     checked += 1
@@ -171,7 +171,7 @@ def _shift_class(p: Params, z: ZClass, sigma: int) -> ZClass:
 
 
 def test_c09_charge_shift_invariance():
-    boundaries = 0
+    compared = 0
     depths = 0
     for p in sweep_params():
         base_depth: dict = {}
@@ -182,9 +182,9 @@ def test_c09_charge_shift_invariance():
                 continue  # identical parameters, nothing to compare
             shifted_memo: dict = {}
             for m in nodes(p.ell):
-                zs = boundary_classes(p, m)
+                zs = sorted(boundaries(p, m))
                 relabelled = [_shift_class(p, z, sigma) for z in zs]
-                if boundary_classes(shifted, m) != sorted(relabelled):
+                if sorted(boundaries(shifted, m)) != sorted(relabelled):
                     _report(9, "charge shifts relabel classes bijectively", False,
                             f"{m.to_lists()} sigma={sigma}")
                 for z, z_new in zip(zs, relabelled):
@@ -193,7 +193,7 @@ def test_c09_charge_shift_invariance():
                         b = boundary(p, m, z)
                         base_boundaries[key] = (b.boxes, b.kinds)
                     after = boundary(shifted, m, z_new)
-                    boundaries += 1
+                    compared += 1
                     # equal boundaries force equal operator results
                     if (after.boxes, after.kinds) != base_boundaries[key]:
                         _report(9, "charge shifts preserve operator results", False,
@@ -203,19 +203,14 @@ def test_c09_charge_shift_invariance():
                     _report(9, "charge shifts preserve depth", False,
                             f"{m.to_lists()} sigma={sigma}")
     _report(9, "charge shifts relabel classes and preserve operators and depth", True,
-            f"{boundaries} boundaries and {depths} depth values compared")
+            f"{compared} boundaries and {depths} depth values compared")
 
 
 def test_c10_graph_structure_and_determinism():
     p = Params(1, Fraction(1, 2), (0,))
     first = build_graph(p, 10)
     again = build_graph(p, 10)
-    workers2 = build_graph(p, 10, workers=2)
-    workers4 = build_graph(p, 10, workers=4)
-    deterministic = (
-        first.nodes == again.nodes == workers2.nodes == workers4.nodes
-        and first.edges == again.edges == workers2.edges == workers4.edges
-    )
+    deterministic = first.nodes == again.nodes and first.edges == again.edges
     paths_ok = True
     classes = sorted({e.z for e in first.edges})
     for z in classes:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from signcrystal import cli, engine
 from signcrystal.engine import VerifyReport
 
@@ -268,14 +270,6 @@ class TestGraph:
         assert code == 4
         assert data["error"]["code"] == "RESOURCE_CEILING"
 
-    def test_workers(self, capsys):
-        code1, out1 = run_cli(capsys, "graph", "--params", PARAMS_HALF, "--max-boxes", "5")
-        code2, out2 = run_cli(
-            capsys, "graph", "--params", PARAMS_HALF, "--max-boxes", "5", "--workers", "3"
-        )
-        assert code1 == code2 == 0
-        assert out1 == out2
-
 
 class TestVerifyCommand:
     def test_axioms_pass(self, capsys):
@@ -306,6 +300,23 @@ class TestVerifyCommand:
     def test_ceiling(self, capsys):
         code, data = run_json(capsys, "verify", "--suite", "axioms", "--n", "15")
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("axioms", "--n", "-1"),
+            ("confluence", "--trials", "-1"),
+            ("depth_irrational", "--max-boxes", "-3"),
+            ("comb_lemma", "--n", "0"),
+            ("gl_realization", "--n", "9", "--entry-bound", "6"),
+        ],
+    )
+    def test_empty_suite_rejected(self, capsys, bounds):
+        suite, *flags = bounds
+        code, data = run_json(capsys, "verify", "--suite", suite, *flags)
+        assert code == 2
+        assert data["error"]["code"] == "VALIDATION"
+        assert suite in data["error"]["message"]
 
 
 class TestParamsCommand:

@@ -173,6 +173,12 @@ class TestNumericConverters:
         assert abs(q - 1j) < 1e-12
         assert abs(qs[0] - (-1)) < 1e-12
 
+    def test_hecke_huge_charges(self):
+        # kappa * s must be reduced mod 1 exactly before it becomes a float
+        _, qs = hecke_parameters(Params(2, HALF, (10**17 + 1, 10**26)))
+        assert abs(qs[0] - (-1)) < 1e-12
+        assert abs(qs[1] - 1) < 1e-12
+
     def test_unit_modulus(self):
         for ell, kappa, charges in (
             (1, HALF, (0,)),

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from signcrystal.errors import DegenerateClassError, ValidationError
+from signcrystal.errors import DegenerateClassError, DTieError, ValidationError
 from signcrystal.params import IRRATIONAL, Params, ZClass
 from signcrystal.realizations import (
     ADDABLE,
     REMOVABLE,
+    boundaries,
     boundary,
-    boundary_classes,
     check_dominant_weight,
     class_member,
     class_representative,
@@ -60,13 +60,25 @@ class TestBoundary:
         for p in small_param_sets():
             kappa = p.kappa if p.is_rational else None
             for m in multipartitions_up_to(p.ell, 5):
-                for z in boundary_classes(p, m):
-                    b = boundary(p, m, z)
+                table = boundaries(p, m)
+                assert [(z.kind, z.value) for z in table] == oracles.oracle_classes(
+                    kappa, p.charges, m.components
+                )
+                for z, b in table.items():
+                    assert b == boundary(p, m, z)
                     expected = oracles.oracle_boundary(
                         kappa, p.ell, p.charges, m.components, (z.kind, z.value)
                     )
                     assert [tuple(box) for box in b.boxes] == [box for box, _ in expected]
                     assert list(b.kinds) == [kind for _, kind in expected]
+
+    def test_d_tie_guard(self, monkeypatch):
+        # only corrupt parameters can tie; force one on a two-entry class
+        monkeypatch.setattr(Params, "d_diff", lambda self, x, y: 0)
+        with pytest.raises(DTieError):
+            boundary(P_HALF, ROW2, RES1)
+        with pytest.raises(DTieError):
+            boundaries(P_HALF, ROW2)
 
     def test_wrong_class_kind(self):
         with pytest.raises(ValidationError):
@@ -79,7 +91,7 @@ class TestBoundary:
     def test_weight_counts_kinds(self):
         for p in small_param_sets():
             for m in multipartitions_up_to(p.ell, 5):
-                for z in boundary_classes(p, m):
+                for z in sorted(boundaries(p, m)):
                     b = boundary(p, m, z)
                     removable = sum(1 for k in b.kinds if k == REMOVABLE)
                     addable = len(b.kinds) - removable
@@ -97,7 +109,7 @@ class TestClassRepresentative:
         for p in small_param_sets():
             limit = 7 if p.ell == 1 else 5
             for m in multipartitions_up_to(p.ell, limit):
-                for z in boundary_classes(p, m):
+                for z in sorted(boundaries(p, m)):
                     rep = class_representative(p, m, z)
                     assert class_representative(p, rep, z) == rep
 
@@ -119,7 +131,7 @@ class TestClassMember:
 
         for p in small_param_sets():
             for m in multipartitions_up_to(p.ell, 4):
-                for z in boundary_classes(p, m):
+                for z in sorted(boundaries(p, m)):
                     b = boundary(p, m, z)
                     members = {}
                     for word in iter_words(len(b)):
@@ -159,7 +171,7 @@ class TestCrystalOperators:
     def test_inverse_pairing(self):
         for p in small_param_sets():
             for m in multipartitions_up_to(p.ell, 5):
-                for z in boundary_classes(p, m):
+                for z in sorted(boundaries(p, m)):
                     up = crystal_add(p, m, z)
                     if up is not None:
                         assert crystal_remove(p, up[0], z) == (m, up[1])
@@ -170,7 +182,7 @@ class TestCrystalOperators:
     def test_weight_shift_under_add(self):
         for p in small_param_sets():
             for m in multipartitions_up_to(p.ell, 4):
-                for z in boundary_classes(p, m):
+                for z in sorted(boundaries(p, m)):
                     before = weight(boundary(p, m, z).sign)
                     up = crystal_add(p, m, z)
                     if up is not None:
@@ -180,7 +192,7 @@ class TestCrystalOperators:
         # the operators are the word flips transported through class_member
         for p in small_param_sets():
             for m in multipartitions_up_to(p.ell, 4):
-                for z in boundary_classes(p, m):
+                for z in sorted(boundaries(p, m)):
                     sign = boundary(p, m, z).sign
                     up = e_tilde(sign)
                     got = crystal_add(p, m, z)
@@ -217,7 +229,7 @@ class TestBoundaryStability:
                 for x in m.addable_boxes:
                     cx = p.shifted_content(x)
                     grown = m.add_box(x)
-                    labels = set(boundary_classes(p, m)) | set(boundary_classes(p, grown))
+                    labels = set(boundaries(p, m)) | set(boundaries(p, grown))
                     for z in labels:
                         delta = z.value - cx
                         if p.is_rational:
@@ -239,7 +251,7 @@ class TestKGroup:
     def test_sizes_partition_boundary(self):
         for p in small_param_sets():
             for m in multipartitions_up_to(p.ell, 5):
-                for z in boundary_classes(p, m):
+                for z in sorted(boundaries(p, m)):
                     b = boundary(p, m, z)
                     total = len(kgroup_induction(p, m, z)) + len(kgroup_restriction(p, m, z))
                     assert total == len(b)
