@@ -163,7 +163,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-boxes", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--entry-bound", type=int)
-    p.add_argument("--ceiling", type=int, help="word ceiling override")
+    p.add_argument(
+        "--ceiling", type=int, help="ceiling override: words, labels or gl checks, by suite"
+    )
 
     p = sub.add_parser("params", help="echo parameters with numeric conversions")
     _add_params_flag(p)
@@ -354,6 +356,8 @@ def _cmd_verify(args):
         bounds["params"] = _params_arg(args)
         if args.max_boxes is not None:
             bounds["max_boxes"] = args.max_boxes
+        if args.ceiling is not None:
+            bounds["node_ceiling"] = args.ceiling
     elif suite == "gl_realization":
         if args.n is not None:
             bounds["n"] = args.n
@@ -361,9 +365,13 @@ def _cmd_verify(args):
             bounds["p"] = args.p
         if args.entry_bound is not None:
             bounds["entry_bound"] = args.entry_bound
+        if args.ceiling is not None:
+            bounds["check_ceiling"] = args.ceiling
     else:  # depth_irrational
         if args.max_boxes is not None:
             bounds["max_boxes"] = args.max_boxes
+        if args.ceiling is not None:
+            bounds["node_ceiling"] = args.ceiling
     report = engine.verify(suite, **bounds)
     return serialize.report_to_json(report), (0 if report.passed else 3)
 

@@ -6,6 +6,7 @@ and the named verification suites.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -42,37 +43,45 @@ DEFAULT_WORD_CEILING = 1 << 14
 
 
 def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
-    """Number of box-removing crystal moves down to a stuck label,
-    maximized over classes.
+    """Number of box-removing crystal moves down to a stuck label.
 
-    Only classes with a removable box can move, so the maximum over all
-    classes reduces to a finite one.  `memo` may be shared across calls
-    with the same parameters.
+    Each box-removing move (Kashiwara's e_i on the Fock space) adds a
+    simple root to the weight, and a connected component of a
+    highest-weight crystal has exactly one label that no move changes.
+    So every maximal chain of moves from m ends at the same label and has
+    the same length, and one walk decides the depth: it takes the first
+    class, in class order, whose lowering flip exists.
+
+    `memo` may be shared across calls with the same parameters; every
+    entry is an exact depth, and one call adds at most m.size + 1 entries.
+    Labels above DEFAULT_NODE_CEILING boxes raise ResourceCeilingError.
     """
     if m.ell != params.ell:
         raise ValidationError(
             f"multipartition has {m.ell} components, parameters expect {params.ell}"
         )
+    if m.size > DEFAULT_NODE_CEILING:
+        raise ResourceCeilingError(
+            f"depth walks up to {m.size} steps, above the ceiling {DEFAULT_NODE_CEILING}"
+        )
     if memo is None:
         memo = {}
-
-    def go(mp: Multipartition) -> int:
-        known = memo.get(mp)
-        if known is not None:
-            return known
-        best = 0
+    path = []
+    mp = m
+    while mp is not None and mp not in memo:
+        path.append(mp)
+        step = None
         for b in boundaries(params, mp).values():
-            if MINUS not in b.sign:
-                continue
-            step = apply_flip(mp, b, raising=False)
-            if step is not None:
-                candidate = 1 + go(step[0])
-                if candidate > best:
-                    best = candidate
-        memo[mp] = best
-        return best
-
-    return go(m)
+            if MINUS in b.sign:
+                step = apply_flip(mp, b, raising=False)
+                if step is not None:
+                    break
+        mp = None if step is None else step[0]
+    # the last label on the path is one step above mp, or stuck (depth 0)
+    below = -1 if mp is None else memo[mp]
+    for k, label in enumerate(reversed(path), 1):
+        memo[label] = below + k
+    return memo[m]
 
 
 @dataclass(frozen=True)
@@ -212,7 +221,8 @@ def verify(suite: str, **bounds) -> VerifyReport:
 
 
 def _check_word_budget(n: int, word_ceiling: int) -> None:
-    if 2**n > word_ceiling:
+    # the bit-length test comes first: 2**n alone can exhaust memory
+    if n > word_ceiling.bit_length() or 2**n > word_ceiling:
         raise ResourceCeilingError(
             f"2^{n} words exceed the ceiling {word_ceiling}; raise it explicitly to proceed"
         )
@@ -317,12 +327,27 @@ def _verify_comb_lemma(n: int = 12, word_ceiling: int = DEFAULT_WORD_CEILING) ->
     return VerifyReport("comb_lemma", bounds, True, checked)
 
 
-def _verify_boundary_invariance(params: Params | None = None, max_boxes: int = 8) -> VerifyReport:
+def _labels_up_to(suite: str, ell: int, max_boxes: int, node_ceiling: int):
+    """multipartitions_up_to, ending in ResourceCeilingError once more than
+    node_ceiling labels have been visited."""
+    for visited, m in enumerate(multipartitions_up_to(ell, max_boxes), 1):
+        if visited > node_ceiling:
+            raise ResourceCeilingError(
+                f"{suite} would visit more than {node_ceiling} labels; raise the ceiling to proceed"
+            )
+        yield m
+
+
+def _verify_boundary_invariance(
+    params: Params | None = None,
+    max_boxes: int = 8,
+    node_ceiling: int = DEFAULT_NODE_CEILING,
+) -> VerifyReport:
     if params is None:
         raise ValidationError("boundary_invariance needs params")
     bounds = {"params": params, "max_boxes": max_boxes}
     checked = 0
-    for m in multipartitions_up_to(params.ell, max_boxes):
+    for m in _labels_up_to("boundary_invariance", params.ell, max_boxes, node_ceiling):
         for x in m.addable_boxes:
             z = params.z_class(x)
             before = boundary(params, m, z)
@@ -343,14 +368,16 @@ def _verify_boundary_invariance(params: Params | None = None, max_boxes: int = 8
 
 
 def _verify_realization_consistency(
-    params: Params | None = None, max_boxes: int = 8
+    params: Params | None = None,
+    max_boxes: int = 8,
+    node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> VerifyReport:
     if params is None:
         raise ValidationError("realization_consistency needs params")
     bounds = {"params": params, "max_boxes": max_boxes}
     kappa = params.kappa if params.is_rational else None
     checked = 0
-    for m in multipartitions_up_to(params.ell, max_boxes):
+    for m in _labels_up_to("realization_consistency", params.ell, max_boxes, node_ceiling):
         for z, b in boundaries(params, m).items():
             zp = (z.kind, z.value)
             checked += 1
@@ -376,15 +403,28 @@ def _same_step(production, reference) -> bool:
     return mp.components == reference[0] and tuple(box) == reference[1]
 
 
-def _verify_gl_realization(n: int = 3, p: int = 3, entry_bound: int = 6) -> VerifyReport:
+def _verify_gl_realization(
+    n: int = 3,
+    p: int = 3,
+    entry_bound: int = 6,
+    check_ceiling: int = DEFAULT_NODE_CEILING,
+) -> VerifyReport:
     bounds = {"n": n, "p": p, "entry_bound": entry_bound}
+    if n < 0:
+        raise ValidationError(f"gl_realization needs n >= 0, got {n}")
+    i_values = range(p) if p else range(-1, entry_bound + 1)
+    weights = math.comb(max(entry_bound + 1, 0), n)
+    # p, not len(range(p)), which overflows for a huge p
+    if weights * (p or len(i_values)) > check_ceiling:
+        raise ResourceCeilingError(
+            f"gl_realization would run more than {check_ceiling} checks; raise the ceiling to proceed"
+        )
 
     def fail(w, i, violated):
         return VerifyReport(
             "gl_realization", bounds, False, checked, {"weight": list(w), "i": i, "violated": violated}
         )
 
-    i_values = list(range(p)) if p else list(range(-1, entry_bound + 1))
     checked = 0
     for w in itertools.combinations(range(entry_bound, -1, -1), n):
         for i in i_values:
@@ -414,12 +454,14 @@ def _gl_call(fn, w, i, p):
         return "degenerate"
 
 
-def _verify_depth_irrational(max_boxes: int = 8) -> VerifyReport:
+def _verify_depth_irrational(
+    max_boxes: int = 8, node_ceiling: int = DEFAULT_NODE_CEILING
+) -> VerifyReport:
     params = Params(1, IRRATIONAL, (0,))
     bounds = {"max_boxes": max_boxes}
     memo: dict = {}
     checked = 0
-    for m in multipartitions_up_to(1, max_boxes):
+    for m in _labels_up_to("depth_irrational", 1, max_boxes, node_ceiling):
         checked += 1
         if depth(params, m, memo) != m.size:
             return VerifyReport(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateClassError, DTieError, ValidationError
+from .errors import DegenerateClassError, DTieError, ResourceCeilingError, ValidationError
 from .params import Params, ZClass
 from .signstrings import MINUS, PLUS, check_sign_string, e_tilde, f_tilde
 from .young import BoxRef, Multipartition
@@ -170,14 +170,34 @@ def _check_characteristic(p: int) -> None:
         raise ValidationError(f"characteristic must be 0 or a prime, got {p}")
 
 
+# Miller-Rabin with the first 13 prime bases is exact below psi_13
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    if n >= _MR_LIMIT:
+        raise ResourceCeilingError(f"primality of {n} is only decided below {_MR_LIMIT}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -201,19 +221,25 @@ def gl_positions(weight, i: int, p: int) -> list[int]:
     """1-based indices whose entry matches i or i+1 (mod p, or exactly for p=0)."""
     w = check_dominant_weight(weight)
     _check_characteristic(p)
-    return [j + 1 for j, v in enumerate(w) if _entry_symbol(v, i, p) is not None]
+    return _gl_word(w, i, p)[0]
 
 
 def gl_sign_string(weight, i: int, p: int) -> str:
     """'+' where the entry matches i, '-' where it matches i+1, by position."""
     w = check_dominant_weight(weight)
     _check_characteristic(p)
-    parts = []
-    for v in w:
+    return _gl_word(w, i, p)[1]
+
+
+def _gl_word(w: tuple[int, ...], i: int, p: int) -> tuple[list[int], str]:
+    """Matching positions and their sign word, for an already checked w and p."""
+    positions, parts = [], []
+    for j, v in enumerate(w, 1):
         sym = _entry_symbol(v, i, p)
         if sym is not None:
+            positions.append(j)
             parts.append(sym)
-    return "".join(parts)
+    return positions, "".join(parts)
 
 
 def gl_crystal_add(weight, i: int, p: int) -> tuple[int, ...] | None:
@@ -229,8 +255,7 @@ def gl_crystal_remove(weight, i: int, p: int) -> tuple[int, ...] | None:
 def _gl_step(weight, i: int, p: int, raising: bool) -> tuple[int, ...] | None:
     w = check_dominant_weight(weight)
     _check_characteristic(p)
-    positions = gl_positions(w, i, p)
-    sign = gl_sign_string(w, i, p)
+    positions, sign = _gl_word(w, i, p)
     step = e_tilde(sign) if raising else f_tilde(sign)
     if step is None:
         return None

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from signcrystal import cli, engine
 from signcrystal.engine import VerifyReport
@@ -204,6 +208,16 @@ class TestGlOp:
         )
         assert code == 2
 
+    def test_large_prime(self, capsys):
+        start = time.perf_counter()
+        code, data = run_json(
+            capsys, "gl-op", "--op", "add", "--weight", "[5,4,2]", "--i", "1",
+            "--p", "2305843009213693951",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert data == {"result": None}
+
     def test_rejects_non_dominant(self, capsys):
         code, data = run_json(
             capsys, "gl-op", "--op", "sign", "--weight", "[2,2]", "--i", "1", "--p", "3"
@@ -220,6 +234,18 @@ class TestDepthSupport:
         )
         assert code == 0
         assert data == {"depth": 3}
+
+    def test_depth_long_row(self, capsys):
+        code, data = run_json(capsys, "depth", "--params", PARAMS_HALF, "--mp", "[[1200]]")
+        assert code == 0
+        assert data == {"depth": 1200}
+
+    def test_depth_ceiling(self, capsys):
+        start = time.perf_counter()
+        code, data = run_json(capsys, "depth", "--params", PARAMS_HALF, "--mp", "[[2000001]]")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert data["error"]["code"] == "RESOURCE_CEILING"
 
     def test_support_finite_e(self, capsys):
         code, data = run_json(capsys, "support", "--params", PARAMS_HALF, "--mp", "[[1,1]]")
@@ -300,6 +326,34 @@ class TestVerifyCommand:
     def test_ceiling(self, capsys):
         code, data = run_json(capsys, "verify", "--suite", "axioms", "--n", "15")
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--suite", "boundary_invariance", "--params", PARAMS_IRR, "--max-boxes", "3"),
+            ("--suite", "realization_consistency", "--params", PARAMS_IRR, "--max-boxes", "3"),
+            ("--suite", "depth_irrational", "--max-boxes", "6"),
+            ("--suite", "gl_realization", "--n", "3", "--p", "3", "--entry-bound", "6"),
+        ],
+    )
+    def test_suite_ceiling(self, capsys, flags):
+        code, data = run_json(capsys, "verify", *flags, "--ceiling", "10")
+        assert code == 4
+        assert data["error"]["code"] == "RESOURCE_CEILING"
+        code, data = run_json(capsys, "verify", *flags)
+        assert code == 0 and data["pass"] is True
+
+    def test_gl_huge_characteristic(self, capsys):
+        code, data = run_json(
+            capsys, "verify", "--suite", "gl_realization", "--p", "2305843009213693951"
+        )
+        assert code == 4
+        assert data["error"]["code"] == "RESOURCE_CEILING"
+
+    def test_gl_negative_n(self, capsys):
+        code, data = run_json(capsys, "verify", "--suite", "gl_realization", "--n", "-1")
+        assert code == 2
+        assert data["error"]["code"] == "VALIDATION"
 
     @pytest.mark.parametrize(
         "bounds",
@@ -401,3 +455,128 @@ class TestRoundTrip:
 
         box = BoxRef(1, 2, 3)
         assert serialize.box_from_json(serialize.box_to_json(box)) == box
+
+
+# --- contract fuzz: every command, small bounded inputs ----------------------
+
+_PARAMS_POOL = [
+    PARAMS_HALF,
+    PARAMS_IRR,
+    '{"ell":1,"kappa":"irrational","charges":[0]}',
+    '{"ell":2,"kappa":{"num":2,"den":3},"charges":[1,0]}',
+    '{"ell":3,"kappa":{"num":-1,"den":2},"charges":[1,0,2]}',
+    '{"ell":1,"kappa":{"num":1,"den":0},"charges":[0]}',
+    '{"ell":2,"kappa":"irrational","charges":[0]}',
+    "{oops",
+    "[]",
+    "no-such-params.json",
+]
+_rows = st.lists(st.integers(-1, 4), max_size=3)
+_mps = st.one_of(
+    st.lists(_rows, min_size=1, max_size=3)
+    .filter(lambda comps: sum(r for rows in comps for r in rows if r > 0) <= 4)
+    .map(json.dumps),
+    st.sampled_from(["[]", "{}", "[[1.5]]", '{"components":[[1]]}', "x"]),
+)
+_classes = st.one_of(
+    st.builds(
+        lambda k, v: json.dumps({k: v}),
+        st.sampled_from(["residue", "content", "bogus"]),
+        st.integers(-2, 3),
+    ),
+    st.sampled_from(["{}", "[]", '{"residue":"a"}', "x"]),
+)
+_words = st.text(alphabet="+-x", max_size=6)
+_small = st.integers(-1, 6)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _cmd(*parts):
+    return st.tuples(*parts).map(lambda ps: [tok for part in ps for tok in part])
+
+
+def _fixed(*tokens):
+    return st.just(list(tokens))
+
+
+_params_flag = st.sampled_from(_PARAMS_POOL).map(lambda v: ["--params", v])
+_mp_flag = _mps.map(lambda v: ["--mp", v])
+_class_flag = _classes.map(lambda v: ["--class", v])
+_ARGV = st.one_of(
+    _cmd(_fixed("reduce"), _words.map(lambda w: ["--string=" + w])),
+    _cmd(
+        _fixed("string-op"),
+        st.sampled_from(["e", "f", "suffix-h", "compare", "plus-flips", "minus-flips"]).map(
+            lambda op: ["--op", op]
+        ),
+        _words.map(lambda w: ["--string=" + w]),
+        st.one_of(st.just([]), _words.map(lambda w: ["--other=" + w])),
+        _opt("--k", _small),
+    ),
+    _cmd(_fixed("boundary"), _params_flag, _mp_flag, _class_flag),
+    _cmd(_fixed("fock-op"), st.sampled_from([["--op", "add"], ["--op", "remove"]]), _params_flag, _mp_flag, _class_flag),
+    _cmd(
+        _fixed("kgroup"),
+        st.sampled_from([["--op", "induction"], ["--op", "restriction"]]),
+        _params_flag,
+        _mp_flag,
+        _class_flag,
+    ),
+    _cmd(_fixed("class-member"), _params_flag, _mp_flag, _class_flag, _words.map(lambda w: ["--string=" + w])),
+    _cmd(
+        _fixed("gl-op"),
+        st.sampled_from(["positions", "sign", "add", "remove"]).map(lambda op: ["--op", op]),
+        st.lists(st.integers(-1, 9), max_size=4).map(lambda w: ["--weight", json.dumps(w)]),
+        st.integers(-2, 5).map(lambda i: ["--i", str(i)]),
+        st.sampled_from([0, 1, 2, 3, 4, 7, -3, 1000000007, 2305843009213693951, 10**25]).map(
+            lambda p: ["--p", str(p)]
+        ),
+    ),
+    _cmd(st.sampled_from([["depth"], ["support"]]), _params_flag, _mp_flag),
+    _cmd(
+        _fixed("graph"),
+        _params_flag,
+        st.integers(-1, 4).map(lambda n: ["--max-boxes", str(n)]),
+        _opt("--z", st.sampled_from(["all", '{"residue":0}', '[{"residue":1}]', '{"content":0}', "5", "x"])),
+        _opt("--format", st.sampled_from(["json", "dot"])),
+        _opt("--ceiling", st.integers(-1, 40)),
+    ),
+    _cmd(
+        _fixed("verify"),
+        st.sampled_from(
+            ["axioms", "confluence", "comb_lemma", "boundary_invariance",
+             "realization_consistency", "gl_realization", "depth_irrational"]
+        ).map(lambda suite: ["--suite", suite]),
+        _opt("--n", _small),
+        _opt("--trials", st.integers(-1, 3)),
+        _opt("--seed", _small),
+        st.one_of(st.just([]), _params_flag),
+        _opt("--max-boxes", st.integers(-1, 4)),
+        _opt("--p", st.sampled_from([0, 2, 3, 4, -1, 1000000007])),
+        _opt("--entry-bound", st.integers(-2, 6)),
+        _opt("--ceiling", st.integers(-1, 100_000)),
+    ),
+    _cmd(_fixed("params"), _params_flag),
+)
+
+
+class TestContractFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_ARGV)
+    @example(["depth", "--params", PARAMS_HALF, "--mp", "[[1200]]"])
+    @example(["verify", "--suite", "gl_realization", "--n", "-1"])
+    def test_json_and_known_exit_code(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        text = out.getvalue()
+        if code == 0 and "dot" in argv:
+            assert text.startswith("digraph crystal {")
+            return
+        data = json.loads(text)
+        if code in (2, 4):
+            assert set(data) == {"error"}

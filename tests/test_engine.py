@@ -22,6 +22,29 @@ HALF = Fraction(1, 2)
 P_HALF = Params(1, HALF, (0,))
 P_IRR = Params(1, IRRATIONAL, (0,))
 
+WALK_KAPPAS = [
+    Fraction(1, 2),
+    Fraction(1, 3),
+    Fraction(2, 3),
+    Fraction(2, 5),
+    Fraction(3, 4),
+    Fraction(-1, 2),
+    Fraction(5, 3),
+    Fraction(-2, 3),
+    IRRATIONAL,
+]
+# (charges, max_boxes): two charge vectors per ell, one nonzero and unsorted
+WALK_CHARGES = [
+    ((0,), 10),
+    ((3,), 10),
+    ((0, 0), 7),
+    ((1, 0), 7),
+    ((0, 1, 3), 5),
+    ((1, 0, 2), 5),
+    ((0, 0, 0, 0), 4),
+    ((1, 0, 2, 0), 4),
+]
+
 
 class TestDepth:
     def test_empty(self):
@@ -64,6 +87,25 @@ class TestDepth:
         b = depth(P_IRR, Multipartition(((3, 2),)), memo)
         assert a == b == 5
         assert memo
+
+    @pytest.mark.parametrize("kappa", WALK_KAPPAS, ids=str)
+    @pytest.mark.parametrize("charges, max_boxes", WALK_CHARGES, ids=str)
+    def test_walk_matches_exhaustive_search(self, kappa, charges, max_boxes):
+        """One walk gives the depth that the exhaustive max-search gives,
+        from a fresh memo and from one memo shared in size order."""
+        ell = len(charges)
+        p = Params(ell, kappa, charges)
+        raw_kappa = kappa if p.is_rational else None
+        shared = {}
+        oracle_memo = {}
+        for m in multipartitions_up_to(ell, max_boxes):
+            expected = oracles.oracle_depth(raw_kappa, ell, p.charges, m.components, oracle_memo)
+            cold = {}
+            assert depth(p, m, cold) == expected
+            assert len(cold) <= m.size + 1
+            for label, d in cold.items():
+                assert d == oracles.oracle_depth(raw_kappa, ell, p.charges, label.components, oracle_memo)
+            assert depth(p, m, shared) == expected
 
 
 class TestSupport:
@@ -206,3 +248,5 @@ class TestVerify:
         with pytest.raises(ResourceCeilingError):
             verify("axioms", n=15)
         assert 2**15 > DEFAULT_WORD_CEILING
+        with pytest.raises(ResourceCeilingError):
+            verify("axioms", n=10**18)

@@ -1,9 +1,16 @@
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 import oracles
-from signcrystal.errors import DegenerateClassError, DTieError, ValidationError
+from signcrystal.errors import (
+    DegenerateClassError,
+    DTieError,
+    ResourceCeilingError,
+    ValidationError,
+)
 from signcrystal.params import IRRATIONAL, Params, ZClass
 from signcrystal.realizations import (
     ADDABLE,
@@ -305,3 +312,27 @@ class TestDominantWeights:
         monkeypatch.setattr(realizations, "e_tilde", lambda sign: (sign, 2))
         with pytest.raises(DegenerateClassError):
             gl_crystal_add((2, 1), 1, 3)
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        for n in range(10**5):
+            expected = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+            assert realizations._is_prime(n) == expected, n
+
+    @pytest.mark.parametrize(
+        "n", [2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+    )
+    def test_strong_pseudoprimes_rejected(self, n):
+        assert not realizations._is_prime(n)
+
+    def test_large_prime_fast(self):
+        start = time.perf_counter()
+        assert gl_crystal_add((5, 4, 2), 1, 2**61 - 1) is None
+        assert time.perf_counter() - start < 0.5
+
+    def test_above_cap(self):
+        with pytest.raises(ResourceCeilingError):
+            realizations._is_prime(3_317_044_064_679_887_385_961_981)
+        with pytest.raises(ResourceCeilingError):
+            gl_positions((3, 2), 0, 10**25)
