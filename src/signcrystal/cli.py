@@ -164,7 +164,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int)
     p.add_argument("--entry-bound", type=int)
     p.add_argument(
-        "--ceiling", type=int, help="ceiling override: words, labels or gl checks, by suite"
+        "--ceiling",
+        type=int,
+        help="ceiling override: words, labels or checks, by suite (confluence: words and checks)",
     )
 
     p = sub.add_parser("params", help="echo parameters with numeric conversions")
@@ -186,9 +188,11 @@ def _add_class_flag(p) -> None:
 
 
 def _load_json(text: str, what: str):
+    # ValueError covers JSONDecodeError and integers beyond Python's digit
+    # limit; RecursionError comes from deeply nested arrays or objects
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise ValidationError(f"invalid JSON for {what}: {err}", location=what)
 
 
@@ -352,6 +356,8 @@ def _cmd_verify(args):
                 bounds["trials"] = args.trials
             if args.seed is not None:
                 bounds["seed"] = args.seed
+            if args.ceiling is not None:
+                bounds["check_ceiling"] = args.ceiling
     elif suite in ("boundary_invariance", "realization_consistency"):
         bounds["params"] = _params_arg(args)
         if args.max_boxes is not None:

@@ -266,8 +266,16 @@ def _verify_confluence(
     trials: int = 100,
     seed: int = 0,
     word_ceiling: int = DEFAULT_WORD_CEILING,
+    check_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> VerifyReport:
     _check_word_budget(n, word_ceiling)
+    words = (1 << max(n + 1, 0)) - 1  # every word of length 0..n
+    # words * trials > check_ceiling, without forming the product
+    if trials > 0 and words > check_ceiling // trials:
+        raise ResourceCeilingError(
+            f"confluence would run {words} words x {trials} trials, above the ceiling "
+            f"{check_ceiling}; raise it explicitly to proceed"
+        )
     bounds = {"n": n, "trials": trials, "seed": seed}
     rng = random.Random(seed)
     checked = 0
@@ -348,9 +356,10 @@ def _verify_boundary_invariance(
     bounds = {"params": params, "max_boxes": max_boxes}
     checked = 0
     for m in _labels_up_to("boundary_invariance", params.ell, max_boxes, node_ceiling):
+        table = boundaries(params, m)
         for x in m.addable_boxes:
             z = params.z_class(x)
-            before = boundary(params, m, z)
+            before = table[z]
             after = boundary(params, m.add_box(x), z)
             expected_kinds = tuple(
                 REMOVABLE if box == x else kind for box, kind in before.entries()

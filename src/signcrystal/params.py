@@ -209,15 +209,22 @@ def cyclotomic_c(params: Params) -> tuple[Fraction, tuple[complex, ...]]:
         )
     c0 = -params.kappa
     ell = params.ell
-    kf = float(params.kappa)
-    rest = []
-    for i in range(1, ell):
-        acc = 0j
-        for j in range(1, ell):
-            root = cmath.exp(-2j * math.pi * i * j / ell)
-            acc += (root - 1) * (params.charges[j] - params.charges[j - 1])
-        rest.append(-0.5 * (1 + kf * acc))
-    return c0, tuple(rest)
+    try:
+        rest = []
+        for i in range(1, ell):
+            acc = 0j
+            for j in range(1, ell):
+                root = cmath.exp(-2j * math.pi * i * j / ell)
+                acc += (root - 1) * (params.charges[j] - params.charges[j - 1])
+            rest.append(-0.5 * (1 + float(params.kappa) * acc))
+        if all(cmath.isfinite(c) for c in rest):
+            return c0, tuple(rest)
+    except OverflowError:
+        pass
+    raise ValidationError(
+        "cyclotomic parameters of this kappa and these charges exceed double precision range",
+        location="params",
+    )
 
 
 def _unit_exp(x: Fraction) -> complex:

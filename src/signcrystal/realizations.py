@@ -12,6 +12,7 @@ words coordinatize the whole class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DegenerateClassError, DTieError, ResourceCeilingError, ValidationError
 from .params import Params, ZClass
@@ -44,40 +45,56 @@ def _check_pair(params: Params, m: Multipartition) -> None:
 
 
 def boundary(params: Params, m: Multipartition, z: ZClass) -> ZBoundary:
-    """Addable and removable z-boxes sorted by increasing d-value.
-
-    Consecutive entries must differ by a positive integer in d; a tie is an
-    invariant violation and unreachable for valid parameters.
-    """
-    _check_pair(params, m)
+    """Addable and removable z-boxes sorted by increasing d-value; empty
+    when m has no boundary box in class z.  See `boundaries`."""
     z = params.coerce_class(z)
-    found = [(box, ADDABLE) for box in m.addable_boxes if params.z_class(box) == z]
-    found += [(box, REMOVABLE) for box in m.removable_boxes if params.z_class(box) == z]
-    return _sorted_boundary(params, z, found)
+    table = boundaries(params, m)
+    return table[z] if z in table else ZBoundary(z, (), (), "")
 
 
 def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
     """Every nonempty class boundary of m, in class order: one pass buckets
-    the addable and removable boxes, so the keys are the classes m meets."""
+    the addable and removable boxes, so the keys are the classes m meets.
+
+    Each box gets the integer key of `Params.d_sort_key`: for kappa = a/e
+    in lowest terms, a * (ell * cont - sum(charges)) - e * component, which
+    is e * d(box); for irrational kappa, the pair
+    (ell * cont - sum(charges), -component), whose first entry is constant
+    on a class.  Within one class the key difference of two boxes is
+    exactly e * (d(y) - d(x)), or d(y) - d(x) itself, so two equal adjacent
+    keys are the same condition as `params.d_diff(y, x) <= 0`: a DTieError,
+    unreachable for valid parameters.
+    """
     _check_pair(params, m)
-    found: dict[ZClass, list[tuple[BoxRef, str]]] = {}
-    for box in m.addable_boxes:
-        found.setdefault(params.z_class(box), []).append((box, ADDABLE))
-    for box in m.removable_boxes:
-        found.setdefault(params.z_class(box), []).append((box, REMOVABLE))
-    return {z: _sorted_boundary(params, z, found[z]) for z in sorted(found)}
-
-
-def _sorted_boundary(params: Params, z: ZClass, found: list[tuple[BoxRef, str]]) -> ZBoundary:
-    if len(found) > 1:
-        found.sort(key=lambda entry: params.d_sort_key(entry[0]))
-        for (x, _), (y, _) in zip(found, found[1:]):
-            if params.d_diff(y, x) <= 0:
-                raise DTieError(f"boxes {tuple(x)} and {tuple(y)} share a d-value in class {z}")
-    boxes = tuple(box for box, _ in found)
-    kinds = tuple(kind for _, kind in found)
-    sign = "".join(PLUS if kind == ADDABLE else MINUS for kind in kinds)
-    return ZBoundary(z, boxes, kinds, sign)
+    ell, charges = params.ell, params.charges
+    total = sum(charges)
+    if params.is_rational:
+        kind, num, den = "residue", params.kappa.numerator, params.kappa.denominator
+    else:
+        kind, num, den = "content", None, None
+    found: dict[int, list] = {}
+    for label, sym, boxes in ((ADDABLE, PLUS, m.addable_boxes), (REMOVABLE, MINUS, m.removable_boxes)):
+        for box in boxes:
+            comp, row, col = box
+            cont = charges[comp] + col - row
+            if den is None:
+                value, key = cont, (ell * cont - total, -comp)
+            else:
+                value, key = cont % den, num * (ell * cont - total) - den * comp
+            found.setdefault(value, []).append((key, box, label, sym))
+    table = {}
+    for value in sorted(found):
+        entries = found[value]
+        entries.sort(key=itemgetter(0))
+        keys, boxes, kinds, signs = zip(*entries)
+        z = ZClass(kind, value)
+        for k in range(1, len(keys)):
+            if keys[k - 1] == keys[k]:
+                raise DTieError(
+                    f"boxes {tuple(boxes[k - 1])} and {tuple(boxes[k])} share a d-value in class {z}"
+                )
+        table[z] = ZBoundary(z, boxes, kinds, "".join(signs))
+    return table
 
 
 def class_representative(params: Params, m: Multipartition, z: ZClass) -> Multipartition:

@@ -39,24 +39,28 @@ def check_partition(rows: Iterable[int]) -> Partition:
     return parts
 
 
+def _width(p: Partition, j: int) -> int:
+    return p[j] if j < len(p) else 0
+
+
+def _addable_row(p: Partition, j: int) -> bool:
+    """Whether a box fits at the end of 0-based row j, for 0 <= j <= len(p)."""
+    return j == 0 or j == len(p) or p[j] < p[j - 1]
+
+
+def _removable_row(p: Partition, j: int) -> bool:
+    """Whether the last box of 0-based row j comes off, for 0 <= j < len(p)."""
+    return j + 1 == len(p) or p[j + 1] < p[j]
+
+
 def removable_corners(p: Partition) -> list[tuple[int, int]]:
     """(row, col) of boxes whose removal leaves a diagram, by row."""
-    corners = []
-    for j in range(len(p)):
-        below = p[j + 1] if j + 1 < len(p) else 0
-        if below < p[j]:
-            corners.append((j + 1, p[j]))
-    return corners
+    return [(j + 1, p[j]) for j in range(len(p)) if _removable_row(p, j)]
 
 
 def addable_corners(p: Partition) -> list[tuple[int, int]]:
     """(row, col) of positions whose addition leaves a diagram, by row."""
-    corners = []
-    for j in range(len(p)):
-        if j == 0 or p[j] < p[j - 1]:
-            corners.append((j + 1, p[j] + 1))
-    corners.append((len(p) + 1, 1))
-    return corners
+    return [(j + 1, _width(p, j) + 1) for j in range(len(p) + 1) if _addable_row(p, j)]
 
 
 def content(box: BoxRef) -> int:
@@ -66,11 +70,25 @@ def content(box: BoxRef) -> int:
 
 @dataclass(frozen=True)
 class Multipartition:
+    """An ell-tuple of partitions.
+
+    `Multipartition(...)` and `from_lists` validate and canonicalize every
+    component.  `add_box`, `remove_box` and `multipartitions_of` build
+    their results through `_from_canonical`, which skips that check: the
+    rows they produce are canonical by construction.
+    """
+
     components: tuple[Partition, ...]
 
     def __post_init__(self):
         comps = tuple(check_partition(c) for c in self.components)
         object.__setattr__(self, "components", comps)
+
+    @classmethod
+    def _from_canonical(cls, components: tuple[Partition, ...]) -> "Multipartition":
+        m = object.__new__(cls)
+        object.__setattr__(m, "components", components)
+        return m
 
     @classmethod
     def from_lists(cls, data) -> "Multipartition":
@@ -123,24 +141,19 @@ class Multipartition:
 
     def add_box(self, box: BoxRef) -> "Multipartition":
         part = self._component(box.comp)
-        if (box.row, box.col) not in addable_corners(part):
+        j = box.row - 1
+        if not (0 <= j <= len(part) and box.col == _width(part, j) + 1 and _addable_row(part, j)):
             raise ValidationError(f"box {tuple(box)} is not addable in component {box.comp}")
-        rows = list(part)
-        if box.row == len(rows) + 1:
-            rows.append(1)
-        else:
-            rows[box.row - 1] += 1
-        return self._replace_component(box.comp, tuple(rows))
+        return self._replace_component(box.comp, part[:j] + (_width(part, j) + 1,) + part[j + 1:])
 
     def remove_box(self, box: BoxRef) -> "Multipartition":
         part = self._component(box.comp)
-        if (box.row, box.col) not in removable_corners(part):
+        j = box.row - 1
+        if not (0 <= j < len(part) and box.col == part[j] and _removable_row(part, j)):
             raise ValidationError(f"box {tuple(box)} is not removable in component {box.comp}")
-        rows = list(part)
-        rows[box.row - 1] -= 1
-        if rows and rows[-1] == 0:
-            rows.pop()
-        return self._replace_component(box.comp, tuple(rows))
+        # only a last row of length 1 empties, and it is dropped
+        rest = part[j + 1:] if part[j] == 1 else (part[j] - 1,) + part[j + 1:]
+        return self._replace_component(box.comp, part[:j] + rest)
 
     def _component(self, ci: int) -> Partition:
         if not 0 <= ci < len(self.components):
@@ -148,7 +161,8 @@ class Multipartition:
         return self.components[ci]
 
     def _replace_component(self, ci: int, part: Partition) -> "Multipartition":
-        return Multipartition(self.components[:ci] + (part,) + self.components[ci + 1:])
+        comps = self.components
+        return Multipartition._from_canonical(comps[:ci] + (part,) + comps[ci + 1:])
 
     def sort_key(self) -> tuple:
         return (self.size, self.components)
@@ -186,7 +200,7 @@ def multipartitions_of(ell: int, n: int) -> Iterator[Multipartition]:
     for sizes in _compositions(n, ell):
         pools = [tuple(partitions_of(s)) for s in sizes]
         for combo in itertools.product(*pools):
-            yield Multipartition(tuple(combo))
+            yield Multipartition._from_canonical(combo)
 
 
 def multipartitions_up_to(ell: int, max_boxes: int) -> Iterator[Multipartition]:

@@ -334,6 +334,7 @@ class TestVerifyCommand:
             ("--suite", "realization_consistency", "--params", PARAMS_IRR, "--max-boxes", "3"),
             ("--suite", "depth_irrational", "--max-boxes", "6"),
             ("--suite", "gl_realization", "--n", "3", "--p", "3", "--entry-bound", "6"),
+            ("--suite", "confluence", "--n", "3", "--trials", "5"),
         ],
     )
     def test_suite_ceiling(self, capsys, flags):
@@ -502,7 +503,33 @@ def _fixed(*tokens):
     return st.just(list(tokens))
 
 
-_params_flag = st.sampled_from(_PARAMS_POOL).map(lambda v: ["--params", v])
+_any_int = st.one_of(st.integers(-3, 4), st.sampled_from([10**30, -(10**30), 10**400, -(10**400)]))
+_leaf = st.one_of(st.none(), st.booleans(), _any_int, st.floats(-2, 2), st.text(max_size=3))
+_nested = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2), st.dictionaries(st.text(max_size=2), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+_kappas = st.one_of(
+    st.fixed_dictionaries({"num": _any_int, "den": _any_int}),
+    st.just("irrational"),
+    st.fixed_dictionaries({"num": _leaf, "den": _leaf}, optional={"extra": _leaf}),
+    _nested,
+)
+# wrong types, bools, extra keys, den 0, ell/charges mismatch, huge ints, nesting;
+# at most 3 components keeps the verify suites small
+_params_objects = st.one_of(
+    st.fixed_dictionaries(
+        {"kappa": _kappas, "charges": st.one_of(st.lists(_any_int, min_size=1, max_size=3), _nested)},
+        optional={"ell": st.one_of(st.integers(0, 3), _leaf), "extra": _leaf},
+    ),
+    _nested,
+)
+_params_flag = st.one_of(st.sampled_from(_PARAMS_POOL), _params_objects.map(json.dumps)).map(
+    lambda v: ["--params", v]
+)
 _mp_flag = _mps.map(lambda v: ["--mp", v])
 _class_flag = _classes.map(lambda v: ["--class", v])
 _ARGV = st.one_of(
@@ -563,11 +590,35 @@ _ARGV = st.one_of(
 )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestContractFuzz:
+    @pytest.mark.parametrize(
+        "payload", ["[" * 100_000, "[" + "9" * 5000 + "]"], ids=["deep", "long_int"]
+    )
+    @pytest.mark.parametrize("flag", ["--params", "--mp", "--class", "--z"])
+    def test_unparseable_json(self, capsys, flag, payload):
+        # inline --params must look like an object, or it is read as a path
+        value = '{"charges":' + payload + "}" if flag == "--params" else payload
+        if flag == "--z":
+            argv = ["graph", "--params", PARAMS_HALF, "--max-boxes", "2", "--z", value]
+        else:
+            flags = {"--params": PARAMS_HALF, "--mp": "[[1]]", "--class": '{"residue":0}'}
+            flags[flag] = value
+            argv = ["boundary"] + [tok for pair in flags.items() for tok in pair]
+        code, data = run_json(capsys, *argv)
+        assert code == 2
+        assert data["error"]["code"] == "VALIDATION"
+
     @settings(max_examples=300, deadline=None)
     @given(_ARGV)
     @example(["depth", "--params", PARAMS_HALF, "--mp", "[[1200]]"])
     @example(["verify", "--suite", "gl_realization", "--n", "-1"])
+    @example(["params", "--params", '{"kappa":{"num":%d,"den":3},"charges":[0]}' % 10**400])
+    @example(["params", "--params", '{"kappa":{"num":1,"den":3},"charges":[0,%d]}' % 10**400])
+    @example(["params", "--params", '{"kappa":{"num":%d,"den":3},"charges":[0,%d]}' % (10**300, 10**300)])
     def test_json_and_known_exit_code(self, argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -577,6 +628,6 @@ class TestContractFuzz:
         if code == 0 and "dot" in argv:
             assert text.startswith("digraph crystal {")
             return
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
         if code in (2, 4):
             assert set(data) == {"error"}

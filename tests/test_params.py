@@ -209,3 +209,15 @@ class TestNumericConverters:
     def test_cyclotomic_rejects_irrational(self):
         with pytest.raises(ValidationError):
             cyclotomic_c(Params(1, IRRATIONAL, (0,)))
+
+    @pytest.mark.parametrize(
+        "kappa, charges",
+        [
+            (Fraction(10**400, 3), (0, 1)),
+            (Fraction(1, 3), (0, 10**400)),
+            (Fraction(10**300, 3), (0, 10**300)),  # finite factors, infinite product
+        ],
+    )
+    def test_cyclotomic_beyond_double_range(self, kappa, charges):
+        with pytest.raises(ValidationError):
+            cyclotomic_c(Params(2, kappa, charges))

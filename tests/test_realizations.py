@@ -46,6 +46,16 @@ def small_param_sets():
             yield Params(ell, kappa, tuple(range(ell)))
 
 
+def wide_param_sets():
+    """ell 1-3, numerators other than 1, negative kappa, and charges out of
+    order or repeated: where an integer d-key could go wrong."""
+    kappas = (HALF, Fraction(1, 3), Fraction(2, 5), Fraction(-1, 2), Fraction(5, 3), Fraction(-2, 3))
+    for ell, charge_sets in ((1, [(0,)]), (2, [(0, 1)]), (3, [(0, 1, 2), (1, 0, 2), (0, 0, -1)])):
+        for kappa in kappas + (IRRATIONAL,):
+            for charges in charge_sets:
+                yield Params(ell, kappa, charges)
+
+
 class TestBoundary:
     def test_row2_class1(self):
         b = boundary(P_HALF, ROW2, RES1)
@@ -64,7 +74,7 @@ class TestBoundary:
         assert b.sign == "+"
 
     def test_matches_oracle(self):
-        for p in small_param_sets():
+        for p in wide_param_sets():
             kappa = p.kappa if p.is_rational else None
             for m in multipartitions_up_to(p.ell, 5):
                 table = boundaries(p, m)
@@ -78,14 +88,19 @@ class TestBoundary:
                     )
                     assert [tuple(box) for box in b.boxes] == [box for box, _ in expected]
                     assert list(b.kinds) == [kind for _, kind in expected]
+                    for x, y in zip(b.boxes, b.boxes[1:]):
+                        assert p.d_diff(y, x) > 0
 
-    def test_d_tie_guard(self, monkeypatch):
-        # only corrupt parameters can tie; force one on a two-entry class
-        monkeypatch.setattr(Params, "d_diff", lambda self, x, y: 0)
+    def test_d_tie_guard(self):
+        # only corrupt parameters can tie: kappa = 0, which Params rejects,
+        # puts every box in one class with key 0
+        p = Params(1, HALF, (0,))
+        object.__setattr__(p, "kappa", Fraction(0))
+        assert p.d_diff(BoxRef(0, 1, 2), BoxRef(0, 2, 1)) == 0
         with pytest.raises(DTieError):
-            boundary(P_HALF, ROW2, RES1)
+            boundary(p, ROW2, RES0)
         with pytest.raises(DTieError):
-            boundaries(P_HALF, ROW2)
+            boundaries(p, ROW2)
 
     def test_wrong_class_kind(self):
         with pytest.raises(ValidationError):

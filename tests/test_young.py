@@ -100,8 +100,43 @@ class TestMultipartition:
             Multipartition(((2,),)).remove_box(BoxRef(0, 1, 1))
 
     def test_component_out_of_range(self):
-        with pytest.raises(ValidationError):
-            Multipartition(((2,),)).add_box(BoxRef(1, 1, 1))
+        m = Multipartition(((2,),))
+        for box in (BoxRef(1, 1, 1), BoxRef(-1, 1, 3)):
+            with pytest.raises(ValidationError):
+                m.add_box(box)
+        for box in (BoxRef(1, 1, 1), BoxRef(-1, 1, 2)):
+            with pytest.raises(ValidationError):
+                m.remove_box(box)
+
+    def test_box_steps_accept_exactly_the_corners(self):
+        for n in range(9):
+            for p in partitions_of(n):
+                m = Multipartition((p,))
+                addable, removable = addable_corners(p), removable_corners(p)
+                first = p[0] if p else 0
+                for row in range(1, len(p) + 3):
+                    for col in range(1, first + 3):
+                        box = BoxRef(0, row, col)
+                        for step, corners in ((m.add_box, addable), (m.remove_box, removable)):
+                            if (row, col) in corners:
+                                step(box)
+                            else:
+                                with pytest.raises(ValidationError):
+                                    step(box)
+
+    def test_steps_and_enumeration_build_canonical_values(self):
+        def same(m):
+            ref = Multipartition.from_lists(m.to_lists())
+            assert m == ref and hash(m) == hash(ref)
+            assert m.components == ref.components
+
+        for ell in (1, 2):
+            for m in multipartitions_up_to(ell, 6):
+                same(m)
+                for box in m.addable_boxes:
+                    same(m.add_box(box))
+                for box in m.removable_boxes:
+                    same(m.remove_box(box))
 
     def test_roundtrip_exhaustive(self):
         for ell in (1, 2):
