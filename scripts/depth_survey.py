@@ -10,7 +10,7 @@ Example:
 import argparse
 from fractions import Fraction
 
-from signcrystal.engine import depth, support
+from signcrystal.engine import support
 from signcrystal.params import IRRATIONAL, Params
 from signcrystal.young import multipartitions_up_to
 
@@ -39,7 +39,7 @@ def main():
             stratum = f"i={s.depth}, j in 0..{s.j_max} (undetermined)"
         else:
             stratum = f"i={s.depth}, j={s.j}"
-        print(f"{str(m):<28}{m.size:>4}{depth(params, m, memo):>7}  {stratum}")
+        print(f"{str(m):<28}{m.size:>4}{s.depth:>7}  {stratum}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ failed verification suite, 4 resource ceiling.  Errors are reported as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,9 +32,13 @@ _SIGN_FLAG_COMMANDS = {"reduce", "string-op", "class-member"}
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     argv, words = _extract_sign_values(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as done:
+            # -h/--help: argparse has printed the usage text and asks to
+            # exit 0, which a caller reusing main gets back as the code
+            return done.code
         if args.command is None:
             raise ValidationError("a command is required; see --help")
         for dest, value in words.items():
@@ -81,7 +86,10 @@ def _looks_like_word(tok: str) -> bool:
     return all(c in "+-" for c in tok)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first main call, not at import, and reused after that:
+    # parse_args leaves the parser unchanged and returns a fresh Namespace
     parser = _Parser(prog="signcrystal", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 

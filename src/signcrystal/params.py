@@ -214,7 +214,7 @@ def cyclotomic_c(params: Params) -> tuple[Fraction, tuple[complex, ...]]:
         for i in range(1, ell):
             acc = 0j
             for j in range(1, ell):
-                root = cmath.exp(-2j * math.pi * i * j / ell)
+                root = _unit_exp(Fraction(-i * j, ell))
                 acc += (root - 1) * (params.charges[j] - params.charges[j - 1])
             rest.append(-0.5 * (1 + float(params.kappa) * acc))
         if all(cmath.isfinite(c) for c in rest):
@@ -229,4 +229,9 @@ def cyclotomic_c(params: Params) -> tuple[Fraction, tuple[complex, ...]]:
 
 def _unit_exp(x: Fraction) -> complex:
     # reduce exactly first: float(x) of a huge x has no fractional digits left
-    return cmath.exp(2j * math.pi * float(x % 1))
+    turn = x % 1
+    # quarter turns are exact: cmath.exp leaves a 1e-16 residue there (say,
+    # an imaginary part at a half turn), which a huge charge multiplies
+    if (4 * turn).denominator == 1:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[int(4 * turn)]
+    return cmath.exp(2j * math.pi * float(turn))

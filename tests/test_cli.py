@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -426,6 +430,54 @@ class TestErrors:
             "boundary", "--params", PARAMS_HALF, "--mp", "[[1]]", "--class", '{"content":0}',
         )
         assert code == 2
+
+
+# graph's --z and verify's --max-boxes show that a value given in one call
+# does not carry over to the next; each malformed request is followed by a
+# valid one, so a failed parse leaves nothing behind
+PARSER_REUSE_SEQUENCE = [
+    ["graph", "--params", PARAMS_HALF, "--max-boxes", "2", "--z", '{"residue":1}'],
+    ["graph", "--params", PARAMS_HALF, "--max-boxes", "2"],
+    ["verify", "--suite", "depth_irrational", "--max-boxes", "3"],
+    ["verify", "--suite", "depth_irrational"],
+    ["string-op", "--op", "suffix-h", "--string", "-+-", "--k", "2"],
+    ["string-op", "--op", "e", "--string", "-+-"],
+    ["frobnicate"],
+    ["reduce", "--string", "+-"],
+    ["depth", "--params", "{not json", "--mp", "[[1]]"],
+    ["depth", "--params", PARAMS_HALF, "--mp", "[[2,1]]"],
+    [],
+    ["support", "--params", PARAMS_IRR, "--mp", "[[1],[1]]"],
+]
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_same_output_as_a_fresh_parser(self, capsys, monkeypatch):
+        reused = [run_cli(capsys, *argv) for argv in PARSER_REUSE_SEQUENCE]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run_cli(capsys, *argv) for argv in PARSER_REUSE_SEQUENCE]
+        assert reused == fresh
+        assert json.loads(reused[1][1])["classes"] == "all"
+        assert json.loads(reused[3][1])["bounds"]["max_boxes"] == 8
+        assert [code for code, _ in reused[6:]] == [2, 0, 2, 0, 2, 0]
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import signcrystal.cli as c; print(c._build_parser.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "0"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["depth", "-h"]])
+    def test_help_returns_zero(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage:")
 
 
 class TestRoundTrip:

@@ -165,13 +165,13 @@ class TestCValue:
 class TestNumericConverters:
     def test_hecke_half(self):
         q, qs = hecke_parameters(Params(1, HALF, (0,)))
-        assert abs(q - (-1)) < 1e-12
-        assert abs(qs[0] - 1) < 1e-12
+        assert q == -1
+        assert qs[0] == 1
 
     def test_hecke_quarter(self):
         q, qs = hecke_parameters(Params(1, Fraction(1, 4), (2,)))
-        assert abs(q - 1j) < 1e-12
-        assert abs(qs[0] - (-1)) < 1e-12
+        assert q == 1j
+        assert qs[0] == -1
 
     def test_hecke_huge_charges(self):
         # kappa * s must be reduced mod 1 exactly before it becomes a float
@@ -205,6 +205,24 @@ class TestNumericConverters:
         _, rest = cyclotomic_c(Params(3, Fraction(1, 3), (0, 1, 3)))
         _, shifted = cyclotomic_c(Params(3, Fraction(1, 3), (2, 3, 5)))
         assert all(abs(a - b) < 1e-12 for a, b in zip(rest, shifted))
+
+    def test_cyclotomic_half_turn_is_real(self):
+        kappa = Fraction(1, 3)
+        _, (c1,) = cyclotomic_c(Params(2, kappa, (0, 10**30)))
+        assert c1.imag == 0.0
+        want = float(-(1 + kappa * (-2) * 10**30) / 2)
+        assert abs(c1.real - want) <= 1e-15 * abs(want)
+
+    def test_cyclotomic_quarter_turns_exact(self):
+        kappa = Fraction(1, 3)
+        _, (c1, c2, c3) = cyclotomic_c(Params(4, kappa, (0, 0, 0, 10**30)))
+        # only j=3 contributes: c_k = -(1 + kappa * (w^(3k) - 1) * 10^30) / 2, w = -i
+        for c, (re_coeff, im_coeff) in ((c1, (-1, 1)), (c2, (-2, 0)), (c3, (-1, -1))):
+            want_re = float(-(1 + kappa * re_coeff * 10**30) / 2)
+            want_im = float(-kappa * im_coeff * 10**30 / 2)
+            assert abs(c.real - want_re) <= 1e-15 * abs(want_re)
+            assert abs(c.imag - want_im) <= 1e-15 * abs(want_im)
+        assert c3 == c1.conjugate()
 
     def test_cyclotomic_rejects_irrational(self):
         with pytest.raises(ValidationError):
