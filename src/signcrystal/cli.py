@@ -151,19 +151,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ceiling", type=int, help="node ceiling override")
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=[
-            "axioms",
-            "confluence",
-            "comb_lemma",
-            "boundary_invariance",
-            "realization_consistency",
-            "gl_realization",
-            "depth_irrational",
-        ],
-    )
+    p.add_argument("--suite", required=True, choices=list(engine.SUITES))
     p.add_argument("--n", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
@@ -174,7 +162,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--ceiling",
         type=int,
-        help="ceiling override: words, labels or checks, by suite (confluence: words and checks)",
+        help="budget override: words, rewrites (words x trials), labels or checks, by suite",
     )
 
     p = sub.add_parser("params", help="echo parameters with numeric conversions")
@@ -205,10 +193,7 @@ def _load_json(text: str, what: str):
 
 
 def _params_arg(args):
-    raw = args.params
-    if raw is None:
-        raise ValidationError("--params is required for this command")
-    text = raw
+    raw = text = args.params
     if not raw.lstrip().startswith("{"):
         try:
             with open(raw, encoding="utf-8") as handle:
@@ -351,42 +336,15 @@ def _cmd_graph(args):
     return serialize.graph_to_json(graph)
 
 
+_VERIFY_BOUNDS = ("n", "trials", "seed", "max_boxes", "p", "entry_bound", "ceiling")
+
+
 def _cmd_verify(args):
-    suite = args.suite
-    bounds: dict = {}
-    if suite in ("axioms", "confluence", "comb_lemma"):
-        if args.n is not None:
-            bounds["n"] = args.n
-        if args.ceiling is not None:
-            bounds["word_ceiling"] = args.ceiling
-        if suite == "confluence":
-            if args.trials is not None:
-                bounds["trials"] = args.trials
-            if args.seed is not None:
-                bounds["seed"] = args.seed
-            if args.ceiling is not None:
-                bounds["check_ceiling"] = args.ceiling
-    elif suite in ("boundary_invariance", "realization_consistency"):
+    # unset flags are left out: verify rejects a bound the suite does not take
+    bounds = {dest: getattr(args, dest) for dest in _VERIFY_BOUNDS}
+    if args.params is not None:
         bounds["params"] = _params_arg(args)
-        if args.max_boxes is not None:
-            bounds["max_boxes"] = args.max_boxes
-        if args.ceiling is not None:
-            bounds["node_ceiling"] = args.ceiling
-    elif suite == "gl_realization":
-        if args.n is not None:
-            bounds["n"] = args.n
-        if args.p is not None:
-            bounds["p"] = args.p
-        if args.entry_bound is not None:
-            bounds["entry_bound"] = args.entry_bound
-        if args.ceiling is not None:
-            bounds["check_ceiling"] = args.ceiling
-    else:  # depth_irrational
-        if args.max_boxes is not None:
-            bounds["max_boxes"] = args.max_boxes
-        if args.ceiling is not None:
-            bounds["node_ceiling"] = args.ceiling
-    report = engine.verify(suite, **bounds)
+    report = engine.verify(args.suite, **{k: v for k, v in bounds.items() if v is not None})
     return serialize.report_to_json(report), (0 if report.passed else 3)
 
 

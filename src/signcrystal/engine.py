@@ -5,6 +5,7 @@ and the named verification suites.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from . import naive
 from .errors import DegenerateClassError, ResourceCeilingError, ValidationError
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
+    ADDABLE,
     REMOVABLE,
     apply_flip,
     boundary,
@@ -200,41 +202,50 @@ class VerifyReport:
 
 
 def verify(suite: str, **bounds) -> VerifyReport:
-    """Run a named exhaustive suite; reports the first counterexample.
-    Bounds that leave nothing to check are a ValidationError, not a pass."""
-    runners = {
-        "axioms": _verify_axioms,
-        "confluence": _verify_confluence,
-        "comb_lemma": _verify_comb_lemma,
-        "boundary_invariance": _verify_boundary_invariance,
-        "realization_consistency": _verify_realization_consistency,
-        "gl_realization": _verify_gl_realization,
-        "depth_irrational": _verify_depth_irrational,
-    }
-    runner = runners.get(suite)
+    """Run the suite named in SUITES and report its first counterexample.
+
+    `bounds` are the keyword arguments of the suite's runner; those left
+    out take the runner's defaults.  Every suite takes `ceiling`, the
+    budget that ends in ResourceCeilingError, and the report's bounds are
+    the others.  `params` is a Params and every other bound an int.  A
+    bound the suite does not take, a missing or ill-typed one, or bounds
+    that leave nothing to check are a ValidationError, not a pass.
+    """
+    runner = SUITES.get(suite)
     if runner is None:
-        raise ValidationError(f"unknown suite {suite!r}; choose from {sorted(runners)}")
-    report = runner(**bounds)
-    if report.passed and report.checked == 0:
+        raise ValidationError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    signature = inspect.signature(runner)
+    try:
+        args = signature.bind(**bounds)
+    except TypeError as err:
+        takes = ", ".join(signature.parameters)
+        raise ValidationError(f"suite {suite!r}: {err} (it takes {takes})") from None
+    args.apply_defaults()
+    for name, value in args.arguments.items():
+        want = Params if name == "params" else int
+        if not isinstance(value, want) or isinstance(value, bool):
+            raise ValidationError(f"suite {suite!r}: {name} must be {want.__name__}, got {value!r}")
+    checked, counterexample = runner(**args.arguments)
+    shown = {k: v for k, v in args.arguments.items() if k != "ceiling"}
+    report = VerifyReport(suite, shown, counterexample is None, checked, counterexample)
+    if report.passed and checked == 0:
         raise ValidationError(f"suite {suite!r} checks nothing under the bounds {report.bounds}")
     return report
 
 
-def _check_word_budget(n: int, word_ceiling: int) -> None:
+# Each runner returns (cases checked, first counterexample or None).
+
+
+def _check_word_budget(n: int, ceiling: int) -> None:
     # the bit-length test comes first: 2**n alone can exhaust memory
-    if n > word_ceiling.bit_length() or 2**n > word_ceiling:
+    if n > ceiling.bit_length() or 2**n > ceiling:
         raise ResourceCeilingError(
-            f"2^{n} words exceed the ceiling {word_ceiling}; raise it explicitly to proceed"
+            f"2^{n} words exceed the ceiling {ceiling}; raise it explicitly to proceed"
         )
 
 
-def _verify_axioms(n: int = 14, word_ceiling: int = DEFAULT_WORD_CEILING) -> VerifyReport:
-    _check_word_budget(n, word_ceiling)
-    bounds = {"n": n}
-
-    def fail(word, violated):
-        return VerifyReport("axioms", bounds, False, checked, {"word": word, "violated": violated})
-
+def _verify_axioms(n: int = 14, ceiling: int = DEFAULT_WORD_CEILING):
+    _check_word_budget(n, ceiling)
     checked = 0
     for length in range(n + 1):
         for t in iter_words(length):
@@ -242,41 +253,36 @@ def _verify_axioms(n: int = 14, word_ceiling: int = DEFAULT_WORD_CEILING) -> Ver
             hp, hm = statistics(t)
             wt = weight(t)
             if wt != hm - hp or wt != t.count(MINUS) - t.count(PLUS):
-                return fail(t, "weight")
+                return checked, {"word": t, "violated": "weight"}
             up, down = e_tilde(t), f_tilde(t)
             if (up is None) != (hp == 0) or (down is None) != (hm == 0):
-                return fail(t, "definedness")
+                return checked, {"word": t, "violated": "definedness"}
             if up is not None:
                 u, i = up
                 if f_tilde(u) != (t, i):
-                    return fail(t, "raise/lower inverse")
+                    return checked, {"word": t, "violated": "raise/lower inverse"}
                 if statistics(u) != (hp - 1, hm + 1):
-                    return fail(t, "statistics shift")
+                    return checked, {"word": t, "violated": "statistics shift"}
                 if weight(u) != wt + 2:
-                    return fail(t, "weight shift")
+                    return checked, {"word": t, "violated": "weight shift"}
             if down is not None:
                 d, j = down
                 if e_tilde(d) != (t, j):
-                    return fail(t, "lower/raise inverse")
-    return VerifyReport("axioms", bounds, True, checked)
+                    return checked, {"word": t, "violated": "lower/raise inverse"}
+    return checked, None
 
 
 def _verify_confluence(
-    n: int = 10,
-    trials: int = 100,
-    seed: int = 0,
-    word_ceiling: int = DEFAULT_WORD_CEILING,
-    check_ceiling: int = DEFAULT_NODE_CEILING,
-) -> VerifyReport:
-    _check_word_budget(n, word_ceiling)
-    words = (1 << max(n + 1, 0)) - 1  # every word of length 0..n
-    # words * trials > check_ceiling, without forming the product
-    if trials > 0 and words > check_ceiling // trials:
+    n: int = 10, trials: int = 100, seed: int = 0, ceiling: int = DEFAULT_NODE_CEILING
+):
+    # the budget counts each word of length 0..n once per trial, and at
+    # least once; the bit-length test comes first, so a huge n never forms 2**n
+    runs = max(trials, 1)
+    if n > ceiling.bit_length() or ((1 << max(n + 1, 0)) - 1) * runs > ceiling:
         raise ResourceCeilingError(
-            f"confluence would run {words} words x {trials} trials, above the ceiling "
-            f"{check_ceiling}; raise it explicitly to proceed"
+            f"confluence would rewrite every word up to length {n} x {runs} trials, above the "
+            f"ceiling {ceiling}; raise it explicitly to proceed"
         )
-    bounds = {"n": n, "trials": trials, "seed": seed}
     rng = random.Random(seed)
     checked = 0
     for length in range(n + 1):
@@ -286,25 +292,12 @@ def _verify_confluence(
                 checked += 1
                 got = naive.reduce_by_rewriting(t, rng)
                 if got != expected:
-                    return VerifyReport(
-                        "confluence",
-                        bounds,
-                        False,
-                        checked,
-                        {"word": t, "expected": expected, "got": got},
-                    )
-    return VerifyReport("confluence", bounds, True, checked)
+                    return checked, {"word": t, "expected": expected, "got": got}
+    return checked, None
 
 
-def _verify_comb_lemma(n: int = 12, word_ceiling: int = DEFAULT_WORD_CEILING) -> VerifyReport:
-    _check_word_budget(n, word_ceiling)
-    bounds = {"n": n}
-
-    def fail(word, l, violated):
-        return VerifyReport(
-            "comb_lemma", bounds, False, checked, {"word": word, "l": l, "violated": violated}
-        )
-
+def _verify_comb_lemma(n: int = 12, ceiling: int = DEFAULT_WORD_CEILING):
+    _check_word_budget(n, ceiling)
     checked = 0
     for length in range(1, n + 1):
         for t in iter_words(length):
@@ -312,7 +305,7 @@ def _verify_comb_lemma(n: int = 12, word_ceiling: int = DEFAULT_WORD_CEILING) ->
             hs = [suffix_h_minus(t, k) for k in range(1, length + 2)]
             for a, b in zip(hs, hs[1:]):
                 if a < b:
-                    return fail(t, None, "suffix monotonicity")
+                    return checked, {"word": t, "l": None, "violated": "suffix monotonicity"}
             for l in range(1, length + 1):
                 if hs[l - 1] <= hs[l]:
                     continue
@@ -320,73 +313,61 @@ def _verify_comb_lemma(n: int = 12, word_ceiling: int = DEFAULT_WORD_CEILING) ->
                 flips = plus_flips(tbar)
                 for (_, u), (_, v) in zip(flips, flips[1:]):
                     if succ_compare(v, u) != 1:
-                        return fail(t, l, "flip order")
+                        return checked, {"word": t, "l": l, "violated": "flip order"}
                 j = next(idx for idx, (pos, _) in enumerate(flips) if pos == l)
                 if flips[j][1] != t:
-                    return fail(t, l, "flip identification")
+                    return checked, {"word": t, "l": l, "violated": "flip identification"}
                 if hs[l] + 1 != hs[l - 1]:
-                    return fail(t, l, "claim 1")
+                    return checked, {"word": t, "l": l, "violated": "claim 1"}
                 for idx in range(j):
                     if suffix_h_minus(flips[idx][1], l + 1) != hs[l]:
-                        return fail(t, l, "claim 2")
+                        return checked, {"word": t, "l": l, "violated": "claim 2"}
                 for idx in range(j + 1, len(flips)):
                     if suffix_h_minus(flips[idx][1], l + 1) < hs[l - 1] + 1:
-                        return fail(t, l, "claim 3")
-    return VerifyReport("comb_lemma", bounds, True, checked)
+                        return checked, {"word": t, "l": l, "violated": "claim 3"}
+    return checked, None
 
 
-def _labels_up_to(suite: str, ell: int, max_boxes: int, node_ceiling: int):
+def _labels_up_to(suite: str, ell: int, max_boxes: int, ceiling: int):
     """multipartitions_up_to, ending in ResourceCeilingError once more than
-    node_ceiling labels have been visited."""
+    `ceiling` labels have been visited."""
     for visited, m in enumerate(multipartitions_up_to(ell, max_boxes), 1):
-        if visited > node_ceiling:
+        if visited > ceiling:
             raise ResourceCeilingError(
-                f"{suite} would visit more than {node_ceiling} labels; raise the ceiling to proceed"
+                f"{suite} would visit more than {ceiling} labels; raise the ceiling to proceed"
             )
         yield m
 
 
 def _verify_boundary_invariance(
-    params: Params | None = None,
-    max_boxes: int = 8,
-    node_ceiling: int = DEFAULT_NODE_CEILING,
-) -> VerifyReport:
-    if params is None:
-        raise ValidationError("boundary_invariance needs params")
-    bounds = {"params": params, "max_boxes": max_boxes}
+    params: Params, max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEILING
+):
     checked = 0
-    for m in _labels_up_to("boundary_invariance", params.ell, max_boxes, node_ceiling):
-        table = boundaries(params, m)
-        for x in m.addable_boxes:
-            z = params.z_class(x)
-            before = table[z]
-            after = boundary(params, m.add_box(x), z)
-            expected_kinds = tuple(
-                REMOVABLE if box == x else kind for box, kind in before.entries()
-            )
-            checked += 1
-            if after.boxes != before.boxes or after.kinds != expected_kinds:
-                return VerifyReport(
-                    "boundary_invariance",
-                    bounds,
-                    False,
-                    checked,
-                    {"multipartition": m.to_lists(), "box": list(x), "class": [z.kind, z.value]},
+    for m in _labels_up_to("boundary_invariance", params.ell, max_boxes, ceiling):
+        for z, before in boundaries(params, m).items():
+            for x, kind in before.entries():
+                if kind != ADDABLE:
+                    continue
+                after = boundary(params, m.add_box(x), z)
+                expected_kinds = tuple(
+                    REMOVABLE if box == x else k for box, k in before.entries()
                 )
-    return VerifyReport("boundary_invariance", bounds, True, checked)
+                checked += 1
+                if after.boxes != before.boxes or after.kinds != expected_kinds:
+                    return checked, {
+                        "multipartition": m.to_lists(),
+                        "box": list(x),
+                        "class": [z.kind, z.value],
+                    }
+    return checked, None
 
 
 def _verify_realization_consistency(
-    params: Params | None = None,
-    max_boxes: int = 8,
-    node_ceiling: int = DEFAULT_NODE_CEILING,
-) -> VerifyReport:
-    if params is None:
-        raise ValidationError("realization_consistency needs params")
-    bounds = {"params": params, "max_boxes": max_boxes}
+    params: Params, max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEILING
+):
     kappa = params.kappa if params.is_rational else None
     checked = 0
-    for m in _labels_up_to("realization_consistency", params.ell, max_boxes, node_ceiling):
+    for m in _labels_up_to("realization_consistency", params.ell, max_boxes, ceiling):
         for z, b in boundaries(params, m).items():
             zp = (z.kind, z.value)
             checked += 1
@@ -395,14 +376,8 @@ def _verify_realization_consistency(
                 (apply_flip(m, b, raising=False), naive.crystal_remove(params.ell, kappa, params.charges, m.components, zp)),
             ):
                 if not _same_step(production, reference):
-                    return VerifyReport(
-                        "realization_consistency",
-                        bounds,
-                        False,
-                        checked,
-                        {"multipartition": m.to_lists(), "class": [z.kind, z.value]},
-                    )
-    return VerifyReport("realization_consistency", bounds, True, checked)
+                    return checked, {"multipartition": m.to_lists(), "class": [z.kind, z.value]}
+    return checked, None
 
 
 def _same_step(production, reference) -> bool:
@@ -413,27 +388,17 @@ def _same_step(production, reference) -> bool:
 
 
 def _verify_gl_realization(
-    n: int = 3,
-    p: int = 3,
-    entry_bound: int = 6,
-    check_ceiling: int = DEFAULT_NODE_CEILING,
-) -> VerifyReport:
-    bounds = {"n": n, "p": p, "entry_bound": entry_bound}
+    n: int = 3, p: int = 3, entry_bound: int = 6, ceiling: int = DEFAULT_NODE_CEILING
+):
     if n < 0:
         raise ValidationError(f"gl_realization needs n >= 0, got {n}")
     i_values = range(p) if p else range(-1, entry_bound + 1)
     weights = math.comb(max(entry_bound + 1, 0), n)
     # p, not len(range(p)), which overflows for a huge p
-    if weights * (p or len(i_values)) > check_ceiling:
+    if weights * (p or len(i_values)) > ceiling:
         raise ResourceCeilingError(
-            f"gl_realization would run more than {check_ceiling} checks; raise the ceiling to proceed"
+            f"gl_realization would run more than {ceiling} checks; raise the ceiling to proceed"
         )
-
-    def fail(w, i, violated):
-        return VerifyReport(
-            "gl_realization", bounds, False, checked, {"weight": list(w), "i": i, "violated": violated}
-        )
-
     checked = 0
     for w in itertools.combinations(range(entry_bound, -1, -1), n):
         for i in i_values:
@@ -442,18 +407,18 @@ def _verify_gl_realization(
             sign = gl_sign_string(w, i, p)
             ref_positions, ref_sign = naive.gl_sign(w, i, p)
             if positions != ref_positions or sign != ref_sign:
-                return fail(w, i, "sign word")
+                return checked, {"weight": list(w), "i": i, "violated": "sign word"}
             up = _gl_call(gl_crystal_add, w, i, p)
             if up != naive.gl_add(w, i, p):
-                return fail(w, i, "raise")
+                return checked, {"weight": list(w), "i": i, "violated": "raise"}
             down = _gl_call(gl_crystal_remove, w, i, p)
             if down != naive.gl_remove(w, i, p):
-                return fail(w, i, "lower")
+                return checked, {"weight": list(w), "i": i, "violated": "lower"}
             if isinstance(up, tuple) and _gl_call(gl_crystal_remove, up, i, p) != w:
-                return fail(w, i, "raise/lower inverse")
+                return checked, {"weight": list(w), "i": i, "violated": "raise/lower inverse"}
             if isinstance(down, tuple) and _gl_call(gl_crystal_add, down, i, p) != w:
-                return fail(w, i, "lower/raise inverse")
-    return VerifyReport("gl_realization", bounds, True, checked)
+                return checked, {"weight": list(w), "i": i, "violated": "lower/raise inverse"}
+    return checked, None
 
 
 def _gl_call(fn, w, i, p):
@@ -463,17 +428,24 @@ def _gl_call(fn, w, i, p):
         return "degenerate"
 
 
-def _verify_depth_irrational(
-    max_boxes: int = 8, node_ceiling: int = DEFAULT_NODE_CEILING
-) -> VerifyReport:
+def _verify_depth_irrational(max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEILING):
     params = Params(1, IRRATIONAL, (0,))
-    bounds = {"max_boxes": max_boxes}
     memo: dict = {}
     checked = 0
-    for m in _labels_up_to("depth_irrational", 1, max_boxes, node_ceiling):
+    for m in _labels_up_to("depth_irrational", 1, max_boxes, ceiling):
         checked += 1
         if depth(params, m, memo) != m.size:
-            return VerifyReport(
-                "depth_irrational", bounds, False, checked, {"multipartition": m.to_lists()}
-            )
-    return VerifyReport("depth_irrational", bounds, True, checked)
+            return checked, {"multipartition": m.to_lists()}
+    return checked, None
+
+
+# name -> runner; `verify`, the CLI's --suite choices and the tests read it
+SUITES = {
+    "axioms": _verify_axioms,
+    "confluence": _verify_confluence,
+    "comb_lemma": _verify_comb_lemma,
+    "boundary_invariance": _verify_boundary_invariance,
+    "realization_consistency": _verify_realization_consistency,
+    "gl_realization": _verify_gl_realization,
+    "depth_irrational": _verify_depth_irrational,
+}

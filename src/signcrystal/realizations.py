@@ -104,17 +104,11 @@ def class_representative(params: Params, m: Multipartition, z: ZClass) -> Multip
     deletion always yields a partition.
     """
     _check_pair(params, m)
-    z = params.coerce_class(z)
-    comps = []
-    for ci, part in enumerate(m.components):
-        rows = list(part)
-        for box in m.removable_boxes:
-            if box.comp == ci and params.z_class(box) == z:
-                rows[box.row - 1] -= 1
-        while rows and rows[-1] == 0:
-            rows.pop()
-        comps.append(tuple(rows))
-    return Multipartition(tuple(comps))
+    rows = [list(part) for part in m.components]
+    for box, kind in boundary(params, m, z).entries():
+        if kind == REMOVABLE:
+            rows[box.comp][box.row - 1] -= 1
+    return Multipartition(tuple(rows))
 
 
 def class_member(params: Params, m: Multipartition, z: ZClass, word: str) -> Multipartition:

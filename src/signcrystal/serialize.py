@@ -94,7 +94,8 @@ def fraction_to_json(x: Fraction) -> dict:
 
 
 def complex_to_json(x: complex) -> dict:
-    return {"re": x.real, "im": x.imag}
+    # + 0.0 turns a negative zero into 0.0
+    return {"re": x.real + 0.0, "im": x.imag + 0.0}
 
 
 def cvalue_to_json(c: CValue) -> dict:

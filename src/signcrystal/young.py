@@ -99,12 +99,10 @@ class Multipartition:
             data = data["components"]
         if not isinstance(data, (list, tuple)):
             raise ValidationError("multipartition must be a list of row-length lists")
-        comps = []
         for rows in data:
             if not isinstance(rows, (list, tuple)):
                 raise ValidationError("each component must be a list of row lengths")
-            comps.append(check_partition(rows))
-        return cls(tuple(comps))
+        return cls(tuple(data))
 
     def to_lists(self) -> list[list[int]]:
         return [list(c) for c in self.components]

@@ -348,6 +348,29 @@ class TestVerifyCommand:
         code, data = run_json(capsys, "verify", *flags)
         assert code == 0 and data["pass"] is True
 
+    @pytest.mark.parametrize(
+        "flags, bound",
+        [
+            (("--suite", "axioms", "--n", "4", "--trials", "3"), "trials"),
+            (("--suite", "depth_irrational", "--params", PARAMS_IRR), "params"),
+            (("--suite", "gl_realization", "--max-boxes", "2"), "max_boxes"),
+            (("--suite", "realization_consistency"), "params"),  # missing, not extra
+        ],
+    )
+    def test_bounds_must_match_the_suite(self, capsys, flags, bound):
+        code, data = run_json(capsys, "verify", *flags)
+        assert code == 2
+        assert data["error"]["code"] == "VALIDATION"
+        assert bound in data["error"]["message"] and flags[1] in data["error"]["message"]
+
+    def test_confluence_default_ceiling(self, capsys):
+        # the default budget is 2e6 rewrites: 2^16 - 1 words at n=15 pass it
+        # (and then check nothing with 0 trials), 2^21 - 1 words at n=20 do not
+        code, data = run_json(capsys, "verify", "--suite", "confluence", "--n", "15", "--trials", "0")
+        assert code == 2 and "checks nothing" in data["error"]["message"]
+        code, data = run_json(capsys, "verify", "--suite", "confluence", "--n", "20", "--trials", "1")
+        assert code == 4
+
     def test_gl_huge_characteristic(self, capsys):
         code, data = run_json(
             capsys, "verify", "--suite", "gl_realization", "--p", "2305843009213693951"
@@ -625,10 +648,7 @@ _ARGV = st.one_of(
     ),
     _cmd(
         _fixed("verify"),
-        st.sampled_from(
-            ["axioms", "confluence", "comb_lemma", "boundary_invariance",
-             "realization_consistency", "gl_realization", "depth_irrational"]
-        ).map(lambda suite: ["--suite", suite]),
+        st.sampled_from(list(engine.SUITES)).map(lambda suite: ["--suite", suite]),
         _opt("--n", _small),
         _opt("--trials", st.integers(-1, 3)),
         _opt("--seed", _small),

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import oracles
 from signcrystal.engine import (
     DEFAULT_WORD_CEILING,
+    SUITES,
     SupportDescriptor,
     build_graph,
     depth,
@@ -209,6 +211,17 @@ class TestStringDecomposition:
                         assert offset == node_hm
 
 
+REPORT_BOUNDS = [
+    ("axioms", {"n": 3}, {"n"}),
+    ("confluence", {"n": 3, "trials": 2}, {"n", "trials", "seed"}),
+    ("comb_lemma", {"n": 3}, {"n"}),
+    ("boundary_invariance", {"params": P_HALF, "max_boxes": 3}, {"params", "max_boxes"}),
+    ("realization_consistency", {"params": P_IRR, "max_boxes": 3}, {"params", "max_boxes"}),
+    ("gl_realization", {"n": 2, "entry_bound": 4}, {"n", "p", "entry_bound"}),
+    ("depth_irrational", {"max_boxes": 3}, {"max_boxes"}),
+]
+
+
 class TestVerify:
     def test_axioms(self):
         report = verify("axioms", n=9)
@@ -243,6 +256,43 @@ class TestVerify:
     def test_missing_params(self):
         with pytest.raises(ValidationError):
             verify("boundary_invariance")
+
+    @pytest.mark.parametrize(
+        "suite, bounds",
+        [
+            ("axioms", {"trials": 3}),
+            ("axioms", {"foo": 1}),
+            ("axioms", {"word_ceiling": 10}),
+            ("axioms", {"n": "x"}),
+            ("axioms", {"n": True}),
+            ("gl_realization", {"ceiling": 2.5}),
+            ("boundary_invariance", {"params": None}),
+        ],
+    )
+    def test_bad_bound(self, suite, bounds):
+        with pytest.raises(ValidationError, match=suite):
+            verify(suite, **bounds)
+
+    @pytest.mark.parametrize("suite, bounds, keys", REPORT_BOUNDS)
+    def test_report_bounds(self, suite, bounds, keys):
+        # the report keeps every bound but the ceiling, defaults included
+        report = verify(suite, **bounds, ceiling=10**6)
+        assert report.passed and set(report.bounds) == keys
+
+    def test_report_bounds_cover_every_suite(self):
+        assert [suite for suite, _, _ in REPORT_BOUNDS] == list(SUITES)
+        for runner in SUITES.values():
+            assert "ceiling" in inspect.signature(runner).parameters
+
+    def test_confluence_ceiling_counts_rewrites(self):
+        # 2^4 - 1 = 15 words of length 0..3, each rewritten 5 times
+        with pytest.raises(ResourceCeilingError):
+            verify("confluence", n=3, trials=5, ceiling=74)
+        assert verify("confluence", n=3, trials=5, ceiling=75).checked == 75
+
+    def test_confluence_huge_n_rejected_at_once(self):
+        with pytest.raises(ResourceCeilingError):
+            verify("confluence", n=10**18, trials=0)
 
     def test_word_ceiling(self):
         with pytest.raises(ResourceCeilingError):

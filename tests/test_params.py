@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from signcrystal.params import (
     cyclotomic_c,
     hecke_parameters,
 )
+from signcrystal.serialize import complex_to_json
 from signcrystal.young import BoxRef, Multipartition, multipartitions_up_to
 
 HALF = Fraction(1, 2)
@@ -212,6 +214,13 @@ class TestNumericConverters:
         assert c1.imag == 0.0
         want = float(-(1 + kappa * (-2) * 10**30) / 2)
         assert abs(c1.real - want) <= 1e-15 * abs(want)
+
+    def test_json_has_no_negative_zero(self):
+        _, (c1,) = cyclotomic_c(Params(2, Fraction(1, 3), (0, 10**30)))
+        out = complex_to_json(c1)
+        assert out["im"] == 0.0 and math.copysign(1.0, out["im"]) == 1.0
+        out = complex_to_json(complex(-0.0, -0.0))
+        assert all(math.copysign(1.0, v) == 1.0 for v in out.values())
 
     def test_cyclotomic_quarter_turns_exact(self):
         kappa = Fraction(1, 3)

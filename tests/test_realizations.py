@@ -135,6 +135,18 @@ class TestClassRepresentative:
                     rep = class_representative(p, m, z)
                     assert class_representative(p, rep, z) == rep
 
+    def test_matches_z_class_reference(self):
+        # the representative drops exactly the removable boxes that
+        # Params.z_class puts in class z
+        for p in small_param_sets():
+            for m in multipartitions_up_to(p.ell, 5):
+                for z in sorted(boundaries(p, m)):
+                    rep = m
+                    for box in sorted(m.removable_boxes, key=lambda b: (b.comp, -b.row)):
+                        if p.z_class(box) == z:
+                            rep = rep.remove_box(box)
+                    assert class_representative(p, m, z) == rep
+
 
 class TestClassMember:
     def test_identity(self):

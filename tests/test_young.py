@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from signcrystal import young
 from signcrystal.errors import ValidationError
 from signcrystal.young import (
     BoxRef,
@@ -164,6 +165,20 @@ class TestMultipartition:
             Multipartition.from_lists("nope")
         with pytest.raises(ValidationError):
             Multipartition.from_lists([[1, 2]])
+
+    def test_from_lists_validates_each_component_once(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(tuple(rows))
+            return check_partition(rows)
+
+        monkeypatch.setattr(young, "check_partition", counting)
+        m = Multipartition.from_lists([[3, 1, 0], [2]])
+        assert m.components == ((3, 1), (2,))
+        assert calls == [(3, 1, 0), (2,)]
+        with pytest.raises(ValidationError, match="each component"):
+            Multipartition.from_lists([[1], 2])
 
     @given(st.lists(partition_lists, min_size=1, max_size=3))
     def test_lists_roundtrip(self, comps):
