@@ -21,7 +21,7 @@ from .errors import (
     ResourceCeilingError,
     ValidationError,
 )
-from .params import IRRATIONAL, CValue, Params, ZClass, cyclotomic_c, hecke_parameters
+from .params import IRRATIONAL, Params, ZClass, cyclotomic_c, hecke_parameters
 from .realizations import (
     ZBoundary,
     boundaries,

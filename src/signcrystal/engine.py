@@ -15,8 +15,6 @@ from . import naive
 from .errors import DegenerateClassError, ResourceCeilingError, ValidationError
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
-    ADDABLE,
-    REMOVABLE,
     apply_flip,
     boundary,
     boundaries,
@@ -137,6 +135,8 @@ def build_graph(
     """
     if not isinstance(max_boxes, int) or isinstance(max_boxes, bool) or max_boxes < 0:
         raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
+    if node_ceiling < 0:
+        raise ValidationError(f"node_ceiling must be nonnegative, got {node_ceiling}")
     allowed = None
     if classes is not None:
         allowed = tuple(sorted({params.coerce_class(z) for z in classes}))
@@ -208,8 +208,9 @@ def verify(suite: str, **bounds) -> VerifyReport:
     out take the runner's defaults.  Every suite takes `ceiling`, the
     budget that ends in ResourceCeilingError, and the report's bounds are
     the others.  `params` is a Params and every other bound an int.  A
-    bound the suite does not take, a missing or ill-typed one, or bounds
-    that leave nothing to check are a ValidationError, not a pass.
+    bound the suite does not take, a missing or ill-typed one, a negative
+    ceiling, or bounds that leave nothing to check are a ValidationError,
+    not a pass.
     """
     runner = SUITES.get(suite)
     if runner is None:
@@ -225,6 +226,9 @@ def verify(suite: str, **bounds) -> VerifyReport:
         want = Params if name == "params" else int
         if not isinstance(value, want) or isinstance(value, bool):
             raise ValidationError(f"suite {suite!r}: {name} must be {want.__name__}, got {value!r}")
+    ceiling = args.arguments["ceiling"]
+    if ceiling < 0:
+        raise ValidationError(f"suite {suite!r}: ceiling must be nonnegative, got {ceiling}")
     checked, counterexample = runner(**args.arguments)
     shown = {k: v for k, v in args.arguments.items() if k != "ceiling"}
     report = VerifyReport(suite, shown, counterexample is None, checked, counterexample)
@@ -345,15 +349,14 @@ def _verify_boundary_invariance(
     checked = 0
     for m in _labels_up_to("boundary_invariance", params.ell, max_boxes, ceiling):
         for z, before in boundaries(params, m).items():
-            for x, kind in before.entries():
-                if kind != ADDABLE:
+            for k, sym in enumerate(before.sign):
+                if sym != PLUS:
                     continue
+                x = before.boxes[k]
                 after = boundary(params, m.add_box(x), z)
-                expected_kinds = tuple(
-                    REMOVABLE if box == x else k for box, k in before.entries()
-                )
+                expected = before.sign[:k] + MINUS + before.sign[k + 1 :]
                 checked += 1
-                if after.boxes != before.boxes or after.kinds != expected_kinds:
+                if after.boxes != before.boxes or after.sign != expected:
                     return checked, {
                         "multipartition": m.to_lists(),
                         "box": list(x),

@@ -8,9 +8,10 @@ irrational kappa equality of contents.  The d-function
 
     d(box) = kappa * (ell * cont(box) - sum(charges)) - component
 
-is kept exact as an integer pair (kappa coefficient, constant), so class
-membership and d-comparisons never touch floating point.  Floats appear
-only in the numeric converters at the bottom of this module.
+is compared through the integer key of `Params.d_sort_key` (e * d for
+kappa = a/e), so class membership and d-comparisons never touch floating
+point.  Floats appear only in the numeric converters at the bottom of
+this module.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolationError, ValidationError
-from .young import BoxRef, Multipartition
+from .young import BoxRef
 
 
 class _IrrationalKappa:
@@ -47,32 +48,6 @@ class ZClass:
 
     kind: str  # "residue" | "content"
     value: int
-
-
-@dataclass(frozen=True)
-class CValue:
-    """The exact number kappa_coeff * kappa + const."""
-
-    kappa_coeff: int
-    const: int
-
-    def __add__(self, other: "CValue") -> "CValue":
-        return CValue(self.kappa_coeff + other.kappa_coeff, self.const + other.const)
-
-    def __sub__(self, other: "CValue") -> "CValue":
-        return CValue(self.kappa_coeff - other.kappa_coeff, self.const - other.const)
-
-    def integer_difference(self, other: "CValue") -> int | None:
-        """self - other when formally an integer (equal kappa parts), else None."""
-        if self.kappa_coeff != other.kappa_coeff:
-            return None
-        return self.const - other.const
-
-    def value(self, kappa: Fraction) -> Fraction:
-        return kappa * self.kappa_coeff + self.const
-
-
-ZERO_C = CValue(0, 0)
 
 
 @dataclass(frozen=True)
@@ -141,10 +116,6 @@ class Params:
             raise ValidationError("irrational kappa indexes classes by exact content")
         return z
 
-    def d_value(self, box: BoxRef) -> CValue:
-        cont = self.shifted_content(box)
-        return CValue(self.ell * cont - self.charge_sum, -box.comp)
-
     def d_sort_key(self, box: BoxRef):
         """Orderable key agreeing with the d-function inside one class.
 
@@ -173,13 +144,6 @@ class Params:
                 )
             return q
         return y.comp - x.comp
-
-    def c_function(self, m: Multipartition) -> CValue:
-        """Sum of the d-function over all boxes."""
-        total = ZERO_C
-        for box in m.boxes():
-            total = total + self.d_value(box)
-        return total
 
 
 def hecke_parameters(params: Params) -> tuple[complex, tuple[complex, ...]]:

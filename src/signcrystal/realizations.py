@@ -5,8 +5,8 @@ The boundary of a multipartition in one z-class lists its addable and
 removable boxes of that class by increasing d-value.  Writing '+' for
 addable and '-' for removable turns the boundary into a sign word; the
 raising flip of that word adds a box, the lowering flip removes one.
-Adding a box of the class permutes kinds but never the box list, so the
-words coordinatize the whole class.
+Adding a box of the class turns its '+' into '-' but never changes the
+box list, so the words coordinatize the whole class.
 """
 
 from __future__ import annotations
@@ -19,19 +19,15 @@ from .params import Params, ZClass
 from .signstrings import MINUS, PLUS, check_sign_string, e_tilde, f_tilde
 from .young import BoxRef, Multipartition
 
-ADDABLE = "addable"
-REMOVABLE = "removable"
-
 
 @dataclass(frozen=True)
 class ZBoundary:
+    """Boxes of one class by increasing d-value, and the sign word that
+    marks each box '+' (addable) or '-' (removable), symbol for box."""
+
     z: ZClass
     boxes: tuple[BoxRef, ...]
-    kinds: tuple[str, ...]
     sign: str
-
-    def entries(self) -> tuple[tuple[BoxRef, str], ...]:
-        return tuple(zip(self.boxes, self.kinds))
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -48,8 +44,8 @@ def boundary(params: Params, m: Multipartition, z: ZClass) -> ZBoundary:
     """Addable and removable z-boxes sorted by increasing d-value; empty
     when m has no boundary box in class z.  See `boundaries`."""
     z = params.coerce_class(z)
-    table = boundaries(params, m)
-    return table[z] if z in table else ZBoundary(z, (), (), "")
+    table = _boundaries(params, m, z.value)
+    return table[z] if table else ZBoundary(z, (), "")
 
 
 def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
@@ -65,6 +61,12 @@ def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
     keys are the same condition as `params.d_diff(y, x) <= 0`: a DTieError,
     unreachable for valid parameters.
     """
+    return _boundaries(params, m, None)
+
+
+def _boundaries(params: Params, m: Multipartition, only: int | None) -> dict[ZClass, ZBoundary]:
+    """The kernel of `boundaries`; with `only` set to a class value (a
+    residue, or a content for irrational kappa), just that class."""
     _check_pair(params, m)
     ell, charges = params.ell, params.charges
     total = sum(charges)
@@ -73,7 +75,7 @@ def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
     else:
         kind, num, den = "content", None, None
     found: dict[int, list] = {}
-    for label, sym, boxes in ((ADDABLE, PLUS, m.addable_boxes), (REMOVABLE, MINUS, m.removable_boxes)):
+    for sym, boxes in ((PLUS, m.addable_boxes), (MINUS, m.removable_boxes)):
         for box in boxes:
             comp, row, col = box
             cont = charges[comp] + col - row
@@ -81,19 +83,20 @@ def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
                 value, key = cont, (ell * cont - total, -comp)
             else:
                 value, key = cont % den, num * (ell * cont - total) - den * comp
-            found.setdefault(value, []).append((key, box, label, sym))
+            if only is None or value == only:
+                found.setdefault(value, []).append((key, box, sym))
     table = {}
     for value in sorted(found):
         entries = found[value]
         entries.sort(key=itemgetter(0))
-        keys, boxes, kinds, signs = zip(*entries)
+        keys, boxes, signs = zip(*entries)
         z = ZClass(kind, value)
         for k in range(1, len(keys)):
             if keys[k - 1] == keys[k]:
                 raise DTieError(
                     f"boxes {tuple(boxes[k - 1])} and {tuple(boxes[k])} share a d-value in class {z}"
                 )
-        table[z] = ZBoundary(z, boxes, kinds, "".join(signs))
+        table[z] = ZBoundary(z, boxes, "".join(signs))
     return table
 
 
@@ -103,10 +106,13 @@ def class_representative(params: Params, m: Multipartition, z: ZClass) -> Multip
     Removable boxes occupy pairwise distinct rows, so the simultaneous
     deletion always yields a partition.
     """
-    _check_pair(params, m)
+    return _representative(m, boundary(params, m, z))
+
+
+def _representative(m: Multipartition, b: ZBoundary) -> Multipartition:
     rows = [list(part) for part in m.components]
-    for box, kind in boundary(params, m, z).entries():
-        if kind == REMOVABLE:
+    for box, sym in zip(b.boxes, b.sign):
+        if sym == MINUS:
             rows[box.comp][box.row - 1] -= 1
     return Multipartition(tuple(rows))
 
@@ -119,7 +125,7 @@ def class_member(params: Params, m: Multipartition, z: ZClass, word: str) -> Mul
         raise ValidationError(
             f"word length {len(word)} does not match boundary size {len(b)}"
         )
-    member = class_representative(params, m, z)
+    member = _representative(m, b)
     for sym, box in zip(word, b.boxes):
         if sym == MINUS:
             member = member.add_box(box)
@@ -149,13 +155,13 @@ def apply_flip(m: Multipartition, b: ZBoundary, raising: bool) -> tuple[Multipar
 def kgroup_induction(params: Params, m: Multipartition, z: ZClass) -> list[Multipartition]:
     """All single additions of an addable z-box, by increasing d-value."""
     b = boundary(params, m, z)
-    return [m.add_box(box) for box, kind in b.entries() if kind == ADDABLE]
+    return [m.add_box(box) for box, sym in zip(b.boxes, b.sign) if sym == PLUS]
 
 
 def kgroup_restriction(params: Params, m: Multipartition, z: ZClass) -> list[Multipartition]:
     """All single removals of a removable z-box, by increasing d-value."""
     b = boundary(params, m, z)
-    return [m.remove_box(box) for box, kind in b.entries() if kind == REMOVABLE]
+    return [m.remove_box(box) for box, sym in zip(b.boxes, b.sign) if sym == MINUS]
 
 
 # --- dominant weight realization ---------------------------------------

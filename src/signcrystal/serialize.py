@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .engine import CrystalGraph, SupportDescriptor, VerifyReport
 from .errors import ValidationError
-from .params import IRRATIONAL, CValue, Params, ZClass
+from .params import IRRATIONAL, Params, ZClass
 from .realizations import ZBoundary
 from .young import BoxRef, Multipartition
 
@@ -98,16 +98,12 @@ def complex_to_json(x: complex) -> dict:
     return {"re": x.real + 0.0, "im": x.imag + 0.0}
 
 
-def cvalue_to_json(c: CValue) -> dict:
-    return {"kappa_coeff": c.kappa_coeff, "const": c.const}
-
-
 def boundary_to_json(b: ZBoundary) -> dict:
     return {
         "class": zclass_to_json(b.z),
         "entries": [
-            {"box": box_to_json(box), "kind": kind, "sign": "+" if kind == "addable" else "-"}
-            for box, kind in b.entries()
+            {"box": box_to_json(box), "kind": "addable" if sym == "+" else "removable", "sign": sym}
+            for box, sym in zip(b.boxes, b.sign)
         ],
         "sign": b.sign,
     }

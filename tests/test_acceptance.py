@@ -191,11 +191,11 @@ def test_c09_charge_shift_invariance():
                     key = (m, z)
                     if key not in base_boundaries:
                         b = boundary(p, m, z)
-                        base_boundaries[key] = (b.boxes, b.kinds)
+                        base_boundaries[key] = (b.boxes, b.sign)
                     after = boundary(shifted, m, z_new)
                     compared += 1
                     # equal boundaries force equal operator results
-                    if (after.boxes, after.kinds) != base_boundaries[key]:
+                    if (after.boxes, after.sign) != base_boundaries[key]:
                         _report(9, "charge shifts preserve operator results", False,
                                 f"{m.to_lists()} {z} sigma={sigma}")
                 depths += 1

@@ -299,6 +299,11 @@ class TestGraph:
         )
         assert code == 4
         assert data["error"]["code"] == "RESOURCE_CEILING"
+        code, data = run_json(
+            capsys, "graph", "--params", PARAMS_HALF, "--max-boxes", "6", "--ceiling", "-1"
+        )
+        assert code == 2
+        assert data["error"]["code"] == "VALIDATION" and "ceiling" in data["error"]["message"]
 
 
 class TestVerifyCommand:
@@ -345,6 +350,9 @@ class TestVerifyCommand:
         code, data = run_json(capsys, "verify", *flags, "--ceiling", "10")
         assert code == 4
         assert data["error"]["code"] == "RESOURCE_CEILING"
+        code, data = run_json(capsys, "verify", *flags, "--ceiling", "-1")
+        assert code == 2
+        assert data["error"]["code"] == "VALIDATION" and "ceiling" in data["error"]["message"]
         code, data = run_json(capsys, "verify", *flags)
         assert code == 0 and data["pass"] is True
 

@@ -175,6 +175,8 @@ class TestGraph:
     def test_node_ceiling(self):
         with pytest.raises(ResourceCeilingError):
             build_graph(P_HALF, 6, node_ceiling=3)
+        with pytest.raises(ValidationError, match="node_ceiling"):
+            build_graph(P_HALF, 2, node_ceiling=-1)
 
     def test_rejects_bad_max_boxes(self):
         with pytest.raises(ValidationError):
@@ -267,6 +269,7 @@ class TestVerify:
             ("axioms", {"n": True}),
             ("gl_realization", {"ceiling": 2.5}),
             ("boundary_invariance", {"params": None}),
+            ("axioms", {"ceiling": -1}),
         ],
     )
     def test_bad_bound(self, suite, bounds):

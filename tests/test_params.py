@@ -6,14 +6,13 @@ import pytest
 from signcrystal.errors import ValidationError
 from signcrystal.params import (
     IRRATIONAL,
-    CValue,
     Params,
     ZClass,
     cyclotomic_c,
     hecke_parameters,
 )
 from signcrystal.serialize import complex_to_json
-from signcrystal.young import BoxRef, Multipartition, multipartitions_up_to
+from signcrystal.young import BoxRef
 
 HALF = Fraction(1, 2)
 
@@ -94,25 +93,6 @@ class TestZClass:
             Params(1, IRRATIONAL, (0,)).coerce_class(ZClass("residue", 0))
 
 
-class TestDValue:
-    def test_worked_example(self):
-        p = Params(2, Fraction(1, 3), (0, 1))
-        d = p.d_value(BoxRef(1, 1, 1))
-        assert d == CValue(1, -1)
-        assert d.value(p.kappa) == Fraction(-2, 3)
-
-    def test_trivial(self):
-        assert Params(1, HALF, (0,)).d_value(BoxRef(0, 1, 1)) == CValue(0, 0)
-
-    def test_charge_shift_invariance(self):
-        for sigma in (-2, -1, 1, 2):
-            base = Params(2, Fraction(1, 3), (0, 1))
-            shifted = Params(2, Fraction(1, 3), (sigma, 1 + sigma))
-            for m in multipartitions_up_to(2, 4):
-                for box in m.boxes():
-                    assert base.d_value(box) == shifted.d_value(box)
-
-
 class TestDDiff:
     def test_rational(self):
         p = Params(1, HALF, (0,))
@@ -132,36 +112,6 @@ class TestDDiff:
         p = Params(1, HALF, (0,))
         with pytest.raises(ValidationError):
             p.d_diff(BoxRef(0, 1, 1), BoxRef(0, 1, 2))
-
-
-class TestCFunction:
-    def test_empty(self):
-        p = Params(2, HALF, (0, 0))
-        assert p.c_function(Multipartition(((), ()))) == CValue(0, 0)
-
-    def test_row_of_two(self):
-        p = Params(1, HALF, (0,))
-        assert p.c_function(Multipartition(((2,),))) == CValue(1, 0)
-
-    def test_additive_under_add_box(self):
-        for ell, kappa in ((1, HALF), (2, Fraction(1, 3)), (2, IRRATIONAL)):
-            p = Params(ell, kappa, tuple(range(ell)))
-            for m in multipartitions_up_to(ell, 5):
-                base = p.c_function(m)
-                for box in m.addable_boxes:
-                    assert p.c_function(m.add_box(box)) - base == p.d_value(box)
-
-    def test_charge_shift_invariance(self):
-        base = Params(2, Fraction(1, 3), (0, 1))
-        shifted = Params(2, Fraction(1, 3), (2, 3))
-        for m in multipartitions_up_to(2, 4):
-            assert base.c_function(m) == shifted.c_function(m)
-
-
-class TestCValue:
-    def test_integer_difference(self):
-        assert CValue(2, 5).integer_difference(CValue(2, 3)) == 2
-        assert CValue(2, 5).integer_difference(CValue(1, 3)) is None
 
 
 class TestNumericConverters:

@@ -1,4 +1,5 @@
 import time
+from dataclasses import fields
 from fractions import Fraction
 from math import isqrt
 
@@ -13,8 +14,7 @@ from signcrystal.errors import (
 )
 from signcrystal.params import IRRATIONAL, Params, ZClass
 from signcrystal.realizations import (
-    ADDABLE,
-    REMOVABLE,
+    ZBoundary,
     boundaries,
     boundary,
     check_dominant_weight,
@@ -60,8 +60,11 @@ class TestBoundary:
     def test_row2_class1(self):
         b = boundary(P_HALF, ROW2, RES1)
         assert b.boxes == (BoxRef(0, 2, 1), BoxRef(0, 1, 2))
-        assert b.kinds == (ADDABLE, REMOVABLE)
         assert b.sign == "+-"
+
+    def test_fields(self):
+        # the sign word is the one record of which boxes are addable
+        assert [f.name for f in fields(ZBoundary)] == ["z", "boxes", "sign"]
 
     def test_row2_class0(self):
         b = boundary(P_HALF, ROW2, RES0)
@@ -87,7 +90,7 @@ class TestBoundary:
                         kappa, p.ell, p.charges, m.components, (z.kind, z.value)
                     )
                     assert [tuple(box) for box in b.boxes] == [box for box, _ in expected]
-                    assert list(b.kinds) == [kind for _, kind in expected]
+                    assert b.sign == oracles.oracle_sign(expected)
                     for x, y in zip(b.boxes, b.boxes[1:]):
                         assert p.d_diff(y, x) > 0
 
@@ -112,12 +115,30 @@ class TestBoundary:
 
     def test_weight_counts_kinds(self):
         for p in small_param_sets():
+            kappa = p.kappa if p.is_rational else None
             for m in multipartitions_up_to(p.ell, 5):
                 for z in sorted(boundaries(p, m)):
                     b = boundary(p, m, z)
-                    removable = sum(1 for k in b.kinds if k == REMOVABLE)
-                    addable = len(b.kinds) - removable
+                    expected = oracles.oracle_boundary(
+                        kappa, p.ell, p.charges, m.components, (z.kind, z.value)
+                    )
+                    removable = sum(1 for _, kind in expected if kind == "removable")
+                    addable = len(expected) - removable
                     assert weight(b.sign) == removable - addable
+
+    def test_one_class_matches_table(self):
+        # boundary builds only class z; it must agree with the full table,
+        # and be empty for a class m does not meet
+        for p in wide_param_sets():
+            if p.is_rational:
+                classes = [ZClass("residue", r) for r in range(p.e)]
+            else:
+                low, high = min(p.charges) - 6, max(p.charges) + 6
+                classes = [ZClass("content", c) for c in range(low, high + 1)]
+            for m in multipartitions_up_to(p.ell, 5):
+                table = boundaries(p, m)
+                for z in classes:
+                    assert boundary(p, m, z) == table.get(z, ZBoundary(z, (), ""))
 
 
 class TestClassRepresentative:
@@ -159,6 +180,18 @@ class TestClassMember:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             class_member(P_HALF, ROW2, RES1, "-")
+
+    def test_builds_one_boundary(self, monkeypatch):
+        calls = []
+        kernel = realizations._boundaries
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(realizations, "_boundaries", counting)
+        assert class_member(P_HALF, ROW2, RES1, "--") == Multipartition(((2, 1),))
+        assert len(calls) == 1
 
     def test_bijection_small(self):
         from signcrystal.signstrings import iter_words
@@ -251,8 +284,8 @@ class TestBoundaryStability:
                     before = boundary(p, m, z)
                     after = boundary(p, m.add_box(x), z)
                     assert after.boxes == before.boxes
-                    assert after.kinds == tuple(
-                        REMOVABLE if box == x else kind for box, kind in before.entries()
+                    assert after.sign == "".join(
+                        "-" if box == x else sym for box, sym in zip(before.boxes, before.sign)
                     )
 
     def test_distant_classes_unchanged(self):
