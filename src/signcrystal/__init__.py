@@ -53,7 +53,6 @@ from .young import (
     BoxRef,
     Multipartition,
     addable_corners,
-    content,
     multipartitions_of,
     multipartitions_up_to,
     partitions_of,

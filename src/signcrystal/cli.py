@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import engine, realizations, serialize, signstrings
-from .errors import CrystalError, ValidationError
+from .errors import CrystalError, ResourceCeilingError, ValidationError
 from .params import cyclotomic_c, hecke_parameters
 
 
@@ -198,7 +198,7 @@ def _params_arg(args):
         try:
             with open(raw, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ValidationError(f"cannot read params file {raw!r}: {err}", location="params")
     return serialize.params_from_json(_load_json(text, "params"))
 
@@ -353,6 +353,12 @@ def _cmd_params(args):
     out = serialize.params_to_json(p)
     out["e"] = "infinity" if p.e is None else p.e
     if p.is_rational:
+        terms = (p.ell - 1) ** 2
+        if terms > engine.DEFAULT_NODE_CEILING:
+            raise ResourceCeilingError(
+                f"cyclotomic_c at ell={p.ell} sums {terms} terms, above the ceiling "
+                f"{engine.DEFAULT_NODE_CEILING}"
+            )
         q, qs = hecke_parameters(p)
         c0, rest = cyclotomic_c(p)
         out["hecke"] = {

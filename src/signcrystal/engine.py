@@ -132,6 +132,8 @@ def build_graph(
 
     Edges are the box-adding moves whose target stays inside the node set;
     per class every node has at most one outgoing and one incoming edge.
+    Edges come in (source.sort_key(), z) order: the nodes are sorted, and
+    `boundaries` yields classes in class order.
     """
     if not isinstance(max_boxes, int) or isinstance(max_boxes, bool) or max_boxes < 0:
         raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
@@ -157,9 +159,6 @@ def build_graph(
             step = apply_flip(mp, b, raising=True)
             if step is not None:
                 edges.append(GraphEdge(mp, step[0], z, step[1]))
-    # Already in this order; kept because dropping it moves a full garbage
-    # collection into perfbench's timed string_decomposition calls.
-    edges.sort(key=lambda e: (e.source.sort_key(), e.z))
     return CrystalGraph(params, max_boxes, tuple(nodes), tuple(edges), allowed)
 
 

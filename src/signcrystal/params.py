@@ -173,12 +173,14 @@ def cyclotomic_c(params: Params) -> tuple[Fraction, tuple[complex, ...]]:
         )
     c0 = -params.kappa
     ell = params.ell
+    # exp(-2 pi i * ij / ell) depends on ij mod ell only
+    roots = [_unit_exp(Fraction(-k, ell)) for k in range(ell)]
     try:
         rest = []
         for i in range(1, ell):
             acc = 0j
             for j in range(1, ell):
-                root = _unit_exp(Fraction(-i * j, ell))
+                root = roots[i * j % ell]
                 acc += (root - 1) * (params.charges[j] - params.charges[j - 1])
             rest.append(-0.5 * (1 + float(params.kappa) * acc))
         if all(cmath.isfinite(c) for c in rest):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
@@ -63,19 +62,15 @@ def addable_corners(p: Partition) -> list[tuple[int, int]]:
     return [(j + 1, _width(p, j) + 1) for j in range(len(p) + 1) if _addable_row(p, j)]
 
 
-def content(box: BoxRef) -> int:
-    """Column minus row."""
-    return box.col - box.row
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multipartition:
     """An ell-tuple of partitions.
 
     `Multipartition(...)` and `from_lists` validate and canonicalize every
     component.  `add_box`, `remove_box` and `multipartitions_of` build
     their results through `_from_canonical`, which skips that check: the
-    rows they produce are canonical by construction.
+    rows they produce are canonical by construction.  The rows are the
+    only state: size and corners are computed from them on each read.
     """
 
     components: tuple[Partition, ...]
@@ -111,17 +106,11 @@ class Multipartition:
     def ell(self) -> int:
         return len(self.components)
 
-    @cached_property
+    @property
     def size(self) -> int:
         return sum(sum(c) for c in self.components)
 
-    def boxes(self) -> Iterator[BoxRef]:
-        for ci, part in enumerate(self.components):
-            for ri, width in enumerate(part):
-                for col in range(1, width + 1):
-                    yield BoxRef(ci, ri + 1, col)
-
-    @cached_property
+    @property
     def addable_boxes(self) -> tuple[BoxRef, ...]:
         return tuple(
             BoxRef(ci, row, col)
@@ -129,7 +118,7 @@ class Multipartition:
             for row, col in addable_corners(part)
         )
 
-    @cached_property
+    @property
     def removable_boxes(self) -> tuple[BoxRef, ...]:
         return tuple(
             BoxRef(ci, row, col)
@@ -183,12 +172,10 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(n - head, k - 1):
-            yield (head,) + tail
+    """Compositions of n into k parts, first part ascending: stars and bars."""
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        cuts = (-1,) + bars + (n + k - 1,)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
 
 
 def multipartitions_of(ell: int, n: int) -> Iterator[Multipartition]:

@@ -293,6 +293,13 @@ class TestGraph:
         assert 'box=(0,1,1)' in out
         assert "z=0 mod 2" in out
 
+    def test_many_components(self, capsys):
+        # more components than the default recursion limit of 1000
+        p = json.dumps({"ell": 1500, "kappa": "irrational", "charges": [0] * 1500})
+        code, data = run_json(capsys, "graph", "--params", p, "--max-boxes", "0")
+        assert code == 0
+        assert data["nodes"] == [[[]] * 1500] and data["edges"] == []
+
     def test_ceiling(self, capsys):
         code, data = run_json(
             capsys, "graph", "--params", PARAMS_HALF, "--max-boxes", "6", "--ceiling", "3"
@@ -430,6 +437,21 @@ class TestParamsCommand:
         code, data = run_json(capsys, "params", "--params", str(path))
         assert code == 0
         assert data["e"] == 2
+
+    def test_params_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_bytes(b"\xff\xfe")
+        code, data = run_json(capsys, "params", "--params", str(path))
+        assert code == 2
+        assert data["error"]["location"] == "params"
+
+    def test_cyclotomic_ceiling(self, capsys):
+        # (ell - 1)^2 terms: 1415 is the largest ell within 2,000,000
+        for ell, expected in ((1415, 0), (1416, 4)):
+            p = json.dumps({"ell": ell, "kappa": {"num": 1, "den": 2}, "charges": [0] * ell})
+            code, data = run_json(capsys, "params", "--params", p)
+            assert code == expected
+        assert data["error"]["code"] == "RESOURCE_CEILING"
 
 
 class TestErrors:

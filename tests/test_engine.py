@@ -172,6 +172,14 @@ class TestGraph:
         with pytest.raises(ValidationError):
             string_decomposition(g, ZClass("residue", 1))
 
+    @pytest.mark.parametrize("kappa", [Fraction(1, 3), Fraction(-2, 5), IRRATIONAL])
+    @pytest.mark.parametrize("charges", [(0,), (1, 0), (0, 2, 1)])
+    def test_edges_in_source_then_class_order(self, kappa, charges):
+        # graph_to_json writes edges in this order and nothing sorts them
+        g = build_graph(Params(len(charges), kappa, charges), 4)
+        keys = [(e.source.sort_key(), e.z) for e in g.edges]
+        assert g.edges and keys == sorted(keys)
+
     def test_node_ceiling(self):
         with pytest.raises(ResourceCeilingError):
             build_graph(P_HALF, 6, node_ceiling=3)

@@ -153,6 +153,30 @@ class TestNumericConverters:
         _, rest = cyclotomic_c(Params(3, Fraction(1, 3), (2, 2, 2)))
         assert all(abs(c - (-0.5)) < 1e-12 for c in rest)
 
+    @pytest.mark.parametrize(
+        "kappa, charges, pinned",
+        [
+            # every root of unity is a quarter turn
+            (
+                Fraction(2, 5),
+                (0, 3, -1, 7),
+                "((0.10000000000000009-1j), (3.9000000000000004-0j), (0.10000000000000009+1j))",
+            ),
+            (
+                Fraction(-3, 7),
+                (5, 0, 2, -4, 9, 1),
+                "((-1.3571428571428568+1.4846149779161808j), "
+                "(-1.1428571428571443-2.5980762113533156j), (7.642857142857142-0j), "
+                "(-1.1428571428571417+2.5980762113533156j), "
+                "(-1.3571428571428588-1.4846149779161797j))",
+            ),
+        ],
+    )
+    def test_cyclotomic_pinned_floats(self, kappa, charges, pinned):
+        # to the last bit: tabling the roots of unity changes no float
+        _, rest = cyclotomic_c(Params(len(charges), kappa, charges))
+        assert repr(rest) == pinned
+
     def test_charge_shift_invariance(self):
         _, rest = cyclotomic_c(Params(3, Fraction(1, 3), (0, 1, 3)))
         _, shifted = cyclotomic_c(Params(3, Fraction(1, 3), (2, 3, 5)))

@@ -10,7 +10,6 @@ from signcrystal.young import (
     Multipartition,
     addable_corners,
     check_partition,
-    content,
     multipartitions_of,
     multipartitions_up_to,
     partitions_of,
@@ -74,13 +73,6 @@ class TestCorners:
                         for r, _ in subset:
                             rows[r - 1] -= 1
                         check_partition(rows)
-
-
-class TestBoxContent:
-    def test_values(self):
-        assert content(BoxRef(0, 1, 1)) == 0
-        assert content(BoxRef(0, 2, 1)) == -1
-        assert content(BoxRef(0, 1, 3)) == 2
 
 
 class TestMultipartition:
@@ -150,7 +142,6 @@ class TestMultipartition:
     def test_size_and_boxes(self):
         m = Multipartition(((3, 1), (2,)))
         assert m.size == 6
-        assert len(list(m.boxes())) == 6
 
     def test_from_lists_both_shapes(self):
         bare = Multipartition.from_lists([[3, 1], []])
@@ -180,6 +171,18 @@ class TestMultipartition:
         with pytest.raises(ValidationError, match="each component"):
             Multipartition.from_lists([[1], 2])
 
+    def test_rows_are_the_only_state(self):
+        # slotted: no per-instance __dict__ a cache could hide in
+        made = [
+            Multipartition(((3, 1), (2,))),
+            Multipartition.from_lists([[3, 1], []]),
+            Multipartition(((2,), ())).add_box(BoxRef(1, 1, 1)),
+            *multipartitions_of(2, 3),
+        ]
+        for m in made:
+            assert all((m.size, m.addable_boxes, m.removable_boxes))
+            assert not hasattr(m, "__dict__")
+
     @given(st.lists(partition_lists, min_size=1, max_size=3))
     def test_lists_roundtrip(self, comps):
         m = Multipartition(tuple(comps))
@@ -201,3 +204,20 @@ class TestEnumeration:
     def test_distinct(self):
         nodes = list(multipartitions_up_to(3, 4))
         assert len(nodes) == len(set(nodes))
+
+    def test_compositions_order(self):
+        # first part ascending, then the rest in the same order
+        def reference(n, k):
+            if k == 1:
+                return [(n,)]
+            return [(h,) + t for h in range(n + 1) for t in reference(n - h, k - 1)]
+
+        for n in range(7):
+            for k in range(1, 6):
+                assert list(young._compositions(n, k)) == reference(n, k)
+
+    def test_many_components(self):
+        # more components than the default recursion limit of 1000
+        labels = list(multipartitions_up_to(1500, 1))
+        assert len(labels) == len(set(labels)) == 1501
+        assert [m.size for m in labels] == [0] + [1] * 1500
