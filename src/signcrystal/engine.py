@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import naive
 from .errors import DegenerateClassError, ResourceCeilingError, ValidationError
@@ -105,10 +106,11 @@ def support(params: Params, m: Multipartition, memo: dict | None = None) -> Supp
     return SupportDescriptor(n, params.e, i, None, (n - i) // params.e)
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    source: Multipartition
-    target: Multipartition
+class GraphEdge(NamedTuple):
+    """A box-adding move; `source` and `target` index CrystalGraph.nodes."""
+
+    source: int
+    target: int
     z: ZClass
     box: BoxRef
 
@@ -132,8 +134,10 @@ def build_graph(
 
     Edges are the box-adding moves whose target stays inside the node set;
     per class every node has at most one outgoing and one incoming edge.
-    Edges come in (source.sort_key(), z) order: the nodes are sorted, and
-    `boundaries` yields classes in class order.
+    An edge names its endpoints by their index in `nodes`, and every edge
+    of one class holds the same ZClass object.  Edges come in (source, z)
+    order: the nodes are sorted, and `boundaries` yields classes in class
+    order.
     """
     if not isinstance(max_boxes, int) or isinstance(max_boxes, bool) or max_boxes < 0:
         raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
@@ -148,9 +152,11 @@ def build_graph(
         if len(nodes) > node_ceiling:
             raise ResourceCeilingError(f"graph would exceed the node ceiling {node_ceiling}")
     nodes.sort(key=lambda mp: mp.sort_key())
+    index = {mp.components: k for k, mp in enumerate(nodes)}
 
+    one_per_class: dict[ZClass, ZClass] = {}
     edges = []
-    for mp in nodes:
+    for k, mp in enumerate(nodes):
         if mp.size >= max_boxes:
             continue
         for z, b in boundaries(params, mp).items():
@@ -158,7 +164,8 @@ def build_graph(
                 continue
             step = apply_flip(mp, b, raising=True)
             if step is not None:
-                edges.append(GraphEdge(mp, step[0], z, step[1]))
+                z = one_per_class.setdefault(z, z)
+                edges.append(GraphEdge(k, index[step[0].components], z, step[1]))
     return CrystalGraph(params, max_boxes, tuple(nodes), tuple(edges), allowed)
 
 
@@ -171,19 +178,22 @@ def string_decomposition(graph: CrystalGraph, z: ZClass) -> list[list[Multiparti
     z = graph.params.coerce_class(z)
     if graph.classes is not None and z not in graph.classes:
         raise ValidationError(f"graph was built without class {z}")
-    succ: dict[Multipartition, Multipartition] = {}
-    pred: dict[Multipartition, Multipartition] = {}
+    nodes = graph.nodes
+    succ = [-1] * len(nodes)
+    has_pred = bytearray(len(nodes))
     for edge in graph.edges:
         if edge.z == z:
             succ[edge.source] = edge.target
-            pred[edge.target] = edge.source
+            has_pred[edge.target] = 1
     chains = []
-    for node in graph.nodes:
-        if node in pred:
+    for k, node in enumerate(nodes):
+        if has_pred[k]:
             continue
         chain = [node]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
+        nxt = succ[k]
+        while nxt >= 0:
+            chain.append(nodes[nxt])
+            nxt = succ[nxt]
         chains.append(chain)
     return chains
 
@@ -345,9 +355,19 @@ def _labels_up_to(suite: str, ell: int, max_boxes: int, ceiling: int):
 def _verify_boundary_invariance(
     params: Params, max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEILING
 ):
-    checked = 0
-    for m in _labels_up_to("boundary_invariance", params.ell, max_boxes, ceiling):
-        for z, before in boundaries(params, m).items():
+    # each check rebuilds a boundary over all of the label's corners, so a
+    # label costs its checks times its corners against the ceiling
+    checked = work = 0
+    for m in multipartitions_up_to(params.ell, max_boxes):
+        table = boundaries(params, m)
+        corners = sum(len(b.boxes) for b in table.values())
+        work += corners * sum(b.sign.count(PLUS) for b in table.values())
+        if work > ceiling:
+            raise ResourceCeilingError(
+                f"boundary_invariance would rebuild more than {ceiling} boundary corners; "
+                "raise the ceiling to proceed"
+            )
+        for z, before in table.items():
             for k, sym in enumerate(before.sign):
                 if sym != PLUS:
                     continue

@@ -120,33 +120,34 @@ def support_to_json(s: SupportDescriptor) -> dict:
 
 
 def graph_to_json(g: CrystalGraph) -> dict:
-    index = {node: k for k, node in enumerate(g.nodes)}
+    """The graph as JSON; an edge's source and target are node indices.
+
+    Edges of one class share one class dict, and edges that add the same
+    box share one box dict, so mutating one edge's dict changes the others.
+    """
+    classes = {z: zclass_to_json(z) for z in {e.z for e in g.edges}}
+    boxes = {box: box_to_json(box) for box in {e.box for e in g.edges}}
     return {
         "params": params_to_json(g.params),
         "max_boxes": g.max_boxes,
         "classes": "all" if g.classes is None else [zclass_to_json(z) for z in g.classes],
         "nodes": [node.to_lists() for node in g.nodes],
         "edges": [
-            {
-                "source": index[e.source],
-                "target": index[e.target],
-                "class": zclass_to_json(e.z),
-                "box": box_to_json(e.box),
-            }
+            {"source": e.source, "target": e.target, "class": classes[e.z], "box": boxes[e.box]}
             for e in g.edges
         ],
     }
 
 
 def graph_to_dot(g: CrystalGraph) -> str:
-    index = {node: k for k, node in enumerate(g.nodes)}
+    labels = {z: _class_label(g.params, z) for z in {e.z for e in g.edges}}
     lines = ["digraph crystal {"]
     for k, node in enumerate(g.nodes):
         label = json.dumps(node.to_lists(), separators=(",", ":"))
         lines.append(f'  n{k} [label="{label}"];')
     for e in g.edges:
-        label = f"z={_class_label(g.params, e.z)}, box=({e.box.comp},{e.box.row},{e.box.col})"
-        lines.append(f'  n{index[e.source]} -> n{index[e.target]} [label="{label}"];')
+        label = f"z={labels[e.z]}, box=({e.box.comp},{e.box.row},{e.box.col})"
+        lines.append(f'  n{e.source} -> n{e.target} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from signcrystal.engine import (
 from signcrystal.errors import ResourceCeilingError, ValidationError
 from signcrystal.params import IRRATIONAL, Params, ZClass
 from signcrystal.realizations import boundaries, boundary, crystal_remove
+from signcrystal.serialize import graph_to_dot, graph_to_json
 from signcrystal.signstrings import statistics, weight
 from signcrystal.young import Multipartition, multipartitions_up_to
 
@@ -140,7 +143,8 @@ class TestGraph:
     def test_two_box_example(self):
         g = build_graph(P_HALF, 2)
         simple = [
-            (e.source.to_lists(), e.target.to_lists(), e.z, tuple(e.box)) for e in g.edges
+            (g.nodes[e.source].to_lists(), g.nodes[e.target].to_lists(), e.z, tuple(e.box))
+            for e in g.edges
         ]
         assert simple == [
             ([[]], [[1]], ZClass("residue", 0), (0, 1, 1)),
@@ -162,8 +166,9 @@ class TestGraph:
     def test_edges_invert(self):
         g = build_graph(Params(2, Fraction(1, 3), (0, 1)), 4)
         for e in g.edges:
-            assert e.target == e.source.add_box(e.box)
-            assert crystal_remove(g.params, e.target, e.z) == (e.source, e.box)
+            source, target = g.nodes[e.source], g.nodes[e.target]
+            assert target == source.add_box(e.box)
+            assert crystal_remove(g.params, target, e.z) == (source, e.box)
 
     def test_explicit_class_list(self):
         g = build_graph(P_HALF, 4, classes=[ZClass("residue", 0)])
@@ -177,8 +182,63 @@ class TestGraph:
     def test_edges_in_source_then_class_order(self, kappa, charges):
         # graph_to_json writes edges in this order and nothing sorts them
         g = build_graph(Params(len(charges), kappa, charges), 4)
-        keys = [(e.source.sort_key(), e.z) for e in g.edges]
+        keys = [(g.nodes[e.source].sort_key(), e.z) for e in g.edges]
         assert g.edges and keys == sorted(keys)
+
+    @pytest.mark.parametrize("kappa", [Fraction(1, 3), Fraction(-2, 5), IRRATIONAL])
+    @pytest.mark.parametrize("charges", [(0,), (0, 1), (0, 2, 1)])
+    def test_edges_index_nodes_one_class_object(self, kappa, charges):
+        g = build_graph(Params(len(charges), kappa, charges), 7 - len(charges))
+        for e in g.edges:
+            assert g.nodes[e.target] == g.nodes[e.source].add_box(e.box)
+        assert len({id(e.z) for e in g.edges}) == len({e.z for e in g.edges}) > 0
+
+    # sha256 of json.dumps(graph_to_json(g)) and of graph_to_dot(g), taken
+    # from the label-keyed build that preceded node-index edges
+    @pytest.mark.parametrize(
+        "params, max_boxes, classes, json_digest, dot_digest",
+        [
+            (
+                P_HALF, 6, None,
+                "b49ba89e71589b0b668c48fadb1ff6e9296935d49d3989cb50063eb9409b13eb",
+                "bdfdf14c67a72704c59eb4c834fea1e5d4664bf838fb0cd372375208eb1b42fb",
+            ),
+            (
+                Params(2, Fraction(1, 3), (0, 1)), 5, None,
+                "4ad7465ab408e02dcfd07541be6a8839a928954e998d65b34ce4c87cc297814c",
+                "2df25ee092b831a64b2331c4f6d06d7ba08edee63b942440f5fbd95d3b743149",
+            ),
+            (
+                Params(3, Fraction(1, 3), (0, 2, 1)), 4, None,
+                "93b988fb30637d66bc65a473878dfc419d6f4f9604c484f9ca5311d5dc363fe3",
+                "f8b5d4ef4f50a67ff5187bcbddf61f42d1078016c19f4db380dd93ae88f9fc12",
+            ),
+            (
+                Params(3, IRRATIONAL, (0, 1, 2)), 4, None,
+                "3cdca55074693d29f8a3787ad6e88d34613921612e11a03b4f2d832cf70a53c3",
+                "1e78b0ace868d4c2d25dc834fcb3b533eed3a78932d003813cad868589461fa5",
+            ),
+            (
+                Params(2, Fraction(-2, 5), (1, 0)), 5, None,
+                "fca7a610d3fa044373b2229d2bc318be74048917f4739bfb424c2e529ddeefbc",
+                "07c9a077fc2a03e4e19050d3a0b65d8c50f9b756af98653519dc2916a26f8d7c",
+            ),
+            (
+                P_HALF, 6, [ZClass("residue", 0)],
+                "83f943846ec5e067737cdb8f5ccf392049a1a1a7b08d044d387d3111ee976207",
+                "be8cdb86f2a8204791f10abdc42d980d4372390c67c27064e269413621914865",
+            ),
+            (
+                Params(3, IRRATIONAL, (0, 1, 2)), 4, [ZClass("content", 1), ZClass("content", -1)],
+                "edba718711c8af7e70282a49d1a4ab033530778e4c4ef8c24b520034dc8da413",
+                "c7edcb8e30fa4181e6601d8ef4d5c9705b57e698680789204af245d9bcdeee5e",
+            ),
+        ],
+    )
+    def test_output_bytes_pinned(self, params, max_boxes, classes, json_digest, dot_digest):
+        g = build_graph(params, max_boxes, classes=classes)
+        assert hashlib.sha256(json.dumps(graph_to_json(g)).encode()).hexdigest() == json_digest
+        assert hashlib.sha256(graph_to_dot(g).encode()).hexdigest() == dot_digest
 
     def test_node_ceiling(self):
         with pytest.raises(ResourceCeilingError):
@@ -191,7 +251,35 @@ class TestGraph:
             build_graph(P_HALF, -1)
 
 
+def reference_strings(g, z):
+    """Chains walked through dicts keyed by the edges' labels."""
+    succ, pred = {}, {}
+    for e in g.edges:
+        if e.z == z:
+            source, target = g.nodes[e.source], g.nodes[e.target]
+            succ[source] = target
+            pred[target] = source
+    chains = []
+    for node in g.nodes:
+        if node in pred:
+            continue
+        chain = [node]
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
+        chains.append(chain)
+    return chains
+
+
 class TestStringDecomposition:
+    @pytest.mark.parametrize("kappa", [Fraction(1, 3), Fraction(-2, 5), IRRATIONAL])
+    @pytest.mark.parametrize("charges", [(0,), (0, 1), (0, 2, 1)])
+    def test_matches_label_keyed_reference(self, kappa, charges):
+        g = build_graph(Params(len(charges), kappa, charges), 7 - len(charges))
+        classes = sorted({e.z for e in g.edges})
+        assert classes
+        for z in classes:
+            assert string_decomposition(g, z) == reference_strings(g, z)
+
     def test_partitions_nodes(self):
         g = build_graph(P_HALF, 6)
         for z in (ZClass("residue", 0), ZClass("residue", 1)):
@@ -300,6 +388,13 @@ class TestVerify:
         with pytest.raises(ResourceCeilingError):
             verify("confluence", n=3, trials=5, ceiling=74)
         assert verify("confluence", n=3, trials=5, ceiling=75).checked == 75
+
+    def test_boundary_invariance_ceiling_counts_corners(self):
+        # the empty label has 3 corners, one per class, and each is a check: 3 x 3
+        p = Params(3, IRRATIONAL, (0, 1, 2))
+        with pytest.raises(ResourceCeilingError):
+            verify("boundary_invariance", params=p, max_boxes=0, ceiling=8)
+        assert verify("boundary_invariance", params=p, max_boxes=0, ceiling=9).checked == 3
 
     def test_confluence_huge_n_rejected_at_once(self):
         with pytest.raises(ResourceCeilingError):
