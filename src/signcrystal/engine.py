@@ -16,8 +16,8 @@ from . import naive
 from .errors import DegenerateClassError, ResourceCeilingError, ValidationError
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
+    _boundaries,
     apply_flip,
-    boundary,
     boundaries,
     gl_crystal_add,
     gl_crystal_remove,
@@ -55,7 +55,10 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
 
     `memo` may be shared across calls with the same parameters; every
     entry is an exact depth, and one call adds at most m.size + 1 entries.
-    Labels above DEFAULT_NODE_CEILING boxes raise ResourceCeilingError.
+    Each step rebuilds the boundaries over every component, so the walk
+    charges each step its corner count: a label above
+    DEFAULT_NODE_CEILING boxes, or a walk whose corners pass
+    DEFAULT_NODE_CEILING, raises ResourceCeilingError.
     """
     if m.ell != params.ell:
         raise ValidationError(
@@ -69,10 +72,17 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
         memo = {}
     path = []
     mp = m
+    corners = 0
     while mp is not None and mp not in memo:
         path.append(mp)
+        table = boundaries(params, mp)
+        corners += sum(len(b) for b in table.values())
+        if corners > DEFAULT_NODE_CEILING:
+            raise ResourceCeilingError(
+                f"depth would rebuild more than {DEFAULT_NODE_CEILING} boundary corners"
+            )
         step = None
-        for b in boundaries(params, mp).values():
+        for b in table.values():
             if MINUS in b.sign:
                 step = apply_flip(mp, b, raising=False)
                 if step is not None:
@@ -136,16 +146,17 @@ def build_graph(
     per class every node has at most one outgoing and one incoming edge.
     An edge names its endpoints by their index in `nodes`, and every edge
     of one class holds the same ZClass object.  Edges come in (source, z)
-    order: the nodes are sorted, and `boundaries` yields classes in class
+    order: the nodes are sorted, and each boundary table comes in class
     order.
     """
     if not isinstance(max_boxes, int) or isinstance(max_boxes, bool) or max_boxes < 0:
         raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
     if node_ceiling < 0:
         raise ValidationError(f"node_ceiling must be nonnegative, got {node_ceiling}")
-    allowed = None
+    allowed = only = None
     if classes is not None:
         allowed = tuple(sorted({params.coerce_class(z) for z in classes}))
+        only = {z.value for z in allowed}
     nodes: list[Multipartition] = []
     for mp in multipartitions_up_to(params.ell, max_boxes):
         nodes.append(mp)
@@ -155,13 +166,12 @@ def build_graph(
     index = {mp.components: k for k, mp in enumerate(nodes)}
 
     one_per_class: dict[ZClass, ZClass] = {}
+    corner_table: dict = {}
     edges = []
     for k, mp in enumerate(nodes):
         if mp.size >= max_boxes:
             continue
-        for z, b in boundaries(params, mp).items():
-            if allowed is not None and z not in allowed:
-                continue
+        for z, b in _boundaries(params, mp, corner_table, only).items():
             step = apply_flip(mp, b, raising=True)
             if step is not None:
                 z = one_per_class.setdefault(z, z)
@@ -355,11 +365,12 @@ def _labels_up_to(suite: str, ell: int, max_boxes: int, ceiling: int):
 def _verify_boundary_invariance(
     params: Params, max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEILING
 ):
-    # each check rebuilds a boundary over all of the label's corners, so a
+    # each check merges a boundary over all of the label's corners, so a
     # label costs its checks times its corners against the ceiling
     checked = work = 0
+    corner_table: dict = {}
     for m in multipartitions_up_to(params.ell, max_boxes):
-        table = boundaries(params, m)
+        table = _boundaries(params, m, corner_table, None)
         corners = sum(len(b.boxes) for b in table.values())
         work += corners * sum(b.sign.count(PLUS) for b in table.values())
         if work > ceiling:
@@ -372,10 +383,10 @@ def _verify_boundary_invariance(
                 if sym != PLUS:
                     continue
                 x = before.boxes[k]
-                after = boundary(params, m.add_box(x), z)
+                after = _boundaries(params, m.add_box(x), corner_table, (z.value,)).get(z)
                 expected = before.sign[:k] + MINUS + before.sign[k + 1 :]
                 checked += 1
-                if after.boxes != before.boxes or after.sign != expected:
+                if after is None or after.boxes != before.boxes or after.sign != expected:
                     return checked, {
                         "multipartition": m.to_lists(),
                         "box": list(x),
@@ -389,8 +400,9 @@ def _verify_realization_consistency(
 ):
     kappa = params.kappa if params.is_rational else None
     checked = 0
+    corner_table: dict = {}
     for m in _labels_up_to("realization_consistency", params.ell, max_boxes, ceiling):
-        for z, b in boundaries(params, m).items():
+        for z, b in _boundaries(params, m, corner_table, None).items():
             zp = (z.kind, z.value)
             checked += 1
             for production, reference in (

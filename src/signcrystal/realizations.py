@@ -11,13 +11,13 @@ box list, so the words coordinatize the whole class.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import DegenerateClassError, DTieError, ResourceCeilingError, ValidationError
 from .params import Params, ZClass
 from .signstrings import MINUS, PLUS, check_sign_string, e_tilde, f_tilde
-from .young import BoxRef, Multipartition
+from .young import BoxRef, Multipartition, Partition, corners
 
 
 @dataclass(frozen=True)
@@ -44,52 +44,77 @@ def boundary(params: Params, m: Multipartition, z: ZClass) -> ZBoundary:
     """Addable and removable z-boxes sorted by increasing d-value; empty
     when m has no boundary box in class z.  See `boundaries`."""
     z = params.coerce_class(z)
-    table = _boundaries(params, m, z.value)
+    table = _boundaries(params, m, {}, (z.value,))
     return table[z] if table else ZBoundary(z, (), "")
 
 
 def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
-    """Every nonempty class boundary of m, in class order: one pass buckets
-    the addable and removable boxes, so the keys are the classes m meets.
+    """Every nonempty class boundary of m, in class order; the keys are the
+    classes m meets.
 
-    Each box gets the integer key of `Params.d_sort_key`: for kappa = a/e
-    in lowest terms, a * (ell * cont - sum(charges)) - e * component, which
-    is e * d(box); for irrational kappa, the pair
-    (ell * cont - sum(charges), -component), whose first entry is constant
-    on a class.  Within one class the key difference of two boxes is
-    exactly e * (d(y) - d(x)), or d(y) - d(x) itself, so two equal adjacent
-    keys are the same condition as `params.d_diff(y, x) <= 0`: a DTieError,
+    Each component's addable and removable boxes get their class and an
+    integer key: for kappa = a/e in lowest terms the key of
+    `Params.d_sort_key`, a * (ell * cont - sum(charges)) - e * component,
+    which is e * d(box); for irrational kappa -component, the second entry
+    of that key's pair, whose first entry is constant on a class.  The
+    boundary merges those corners class by class and sorts each class by
+    key.  Within one class the key difference of two boxes is exactly
+    e * (d(y) - d(x)), or d(y) - d(x) itself, so two equal adjacent keys
+    are the same condition as `params.d_diff(y, x) <= 0`: a DTieError,
     unreachable for valid parameters.
     """
-    return _boundaries(params, m, None)
+    return _boundaries(params, m, {}, None)
 
 
-def _boundaries(params: Params, m: Multipartition, only: int | None) -> dict[ZClass, ZBoundary]:
-    """The kernel of `boundaries`; with `only` set to a class value (a
-    residue, or a content for irrational kappa), just that class."""
-    _check_pair(params, m)
-    ell, charges = params.ell, params.charges
-    total = sum(charges)
-    if params.is_rational:
-        kind, num, den = "residue", params.kappa.numerator, params.kappa.denominator
+def _corners(
+    comp: int, part: Partition, charge: int, ell: int, total: int, num: int | None, den: int | None
+) -> list:
+    """(d-key, class value, box, symbol) for each addable, then each
+    removable, box of component `comp` with rows `part`; kappa = num/den,
+    and den is None when kappa is irrational."""
+    addable, removable = corners(part)
+    found, make_box = [], BoxRef._make
+    if den is None:
+        for sym, boxes in ((PLUS, addable), (MINUS, removable)):
+            for row, col in boxes:
+                cont = charge + col - row
+                found.append((-comp, cont, make_box((comp, row, col)), sym))
     else:
-        kind, num, den = "content", None, None
-    found: dict[int, list] = {}
-    for sym, boxes in ((PLUS, m.addable_boxes), (MINUS, m.removable_boxes)):
-        for box in boxes:
-            comp, row, col = box
-            cont = charges[comp] + col - row
-            if den is None:
-                value, key = cont, (ell * cont - total, -comp)
-            else:
-                value, key = cont % den, num * (ell * cont - total) - den * comp
-            if only is None or value == only:
-                found.setdefault(value, []).append((key, box, sym))
+        scale, shift = num * ell, num * total + den * comp
+        for sym, boxes in ((PLUS, addable), (MINUS, removable)):
+            for row, col in boxes:
+                cont = charge + col - row
+                found.append((scale * cont - shift, cont % den, make_box((comp, row, col)), sym))
+    return found
+
+
+def _boundaries(
+    params: Params, m: Multipartition, corner_table: dict, only
+) -> dict[ZClass, ZBoundary]:
+    """The kernel of `boundaries`: merge the corners of m's components class
+    by class.  `corner_table` maps (component, rows) to `_corners` and may be
+    shared by calls with the same params; `only`, when not None, holds the
+    class values (residues, or contents for irrational kappa) to build."""
+    _check_pair(params, m)
+    ell, charges, total = params.ell, params.charges, params.charge_sum
+    num = den = None
+    if params.is_rational:
+        num, den = params.kappa.numerator, params.kappa.denominator
+    found: dict[int, list] = defaultdict(list)
+    for comp, part in enumerate(m.components):
+        key = (comp, part)
+        own = corner_table.get(key)
+        if own is None:
+            own = corner_table[key] = _corners(comp, part, charges[comp], ell, total, num, den)
+        for corner in own:
+            if only is None or corner[1] in only:
+                found[corner[1]].append(corner)
+    kind = "content" if den is None else "residue"
     table = {}
     for value in sorted(found):
         entries = found[value]
-        entries.sort(key=itemgetter(0))
-        keys, boxes, signs = zip(*entries)
+        entries.sort()
+        keys, _, boxes, signs = zip(*entries)
         z = ZClass(kind, value)
         for k in range(1, len(keys)):
             if keys[k - 1] == keys[k]:

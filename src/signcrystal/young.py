@@ -52,14 +52,26 @@ def _removable_row(p: Partition, j: int) -> bool:
     return j + 1 == len(p) or p[j + 1] < p[j]
 
 
+def corners(p: Partition) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(addable, removable) corners of p as (row, col), each by row, in one
+    pass: a row longer than the next ends in a removable box and the row
+    below it takes an addable one; row 1 always takes one."""
+    addable, removable = [(1, p[0] + 1 if p else 1)], []
+    for row, (width, below) in enumerate(zip(p, p[1:] + (0,)), 1):
+        if below < width:
+            removable.append((row, width))
+            addable.append((row + 1, below + 1))
+    return addable, removable
+
+
 def removable_corners(p: Partition) -> list[tuple[int, int]]:
     """(row, col) of boxes whose removal leaves a diagram, by row."""
-    return [(j + 1, p[j]) for j in range(len(p)) if _removable_row(p, j)]
+    return corners(p)[1]
 
 
 def addable_corners(p: Partition) -> list[tuple[int, int]]:
     """(row, col) of positions whose addition leaves a diagram, by row."""
-    return [(j + 1, _width(p, j) + 1) for j in range(len(p) + 1) if _addable_row(p, j)]
+    return corners(p)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from signcrystal import engine, realizations
 from signcrystal.engine import (
     DEFAULT_WORD_CEILING,
     SUITES,
@@ -22,6 +23,7 @@ from signcrystal.realizations import boundaries, boundary, crystal_remove
 from signcrystal.serialize import graph_to_dot, graph_to_json
 from signcrystal.signstrings import statistics, weight
 from signcrystal.young import Multipartition, multipartitions_up_to
+from test_realizations import wide_param_sets
 
 HALF = Fraction(1, 2)
 P_HALF = Params(1, HALF, (0,))
@@ -92,6 +94,14 @@ class TestDepth:
         b = depth(P_IRR, Multipartition(((3, 2),)), memo)
         assert a == b == 5
         assert memo
+
+    def test_ceiling_counts_corners(self, monkeypatch):
+        # the walk from (2,1) builds four tables, with 5 + 3 + 3 + 1 corners
+        monkeypatch.setattr(engine, "DEFAULT_NODE_CEILING", 12)
+        assert depth(P_IRR, Multipartition(((2, 1),))) == 3
+        monkeypatch.setattr(engine, "DEFAULT_NODE_CEILING", 11)
+        with pytest.raises(ResourceCeilingError, match="corners"):
+            depth(P_IRR, Multipartition(((2, 1),)))
 
     @pytest.mark.parametrize("kappa", WALK_KAPPAS, ids=str)
     @pytest.mark.parametrize("charges, max_boxes", WALK_CHARGES, ids=str)
@@ -239,6 +249,27 @@ class TestGraph:
         g = build_graph(params, max_boxes, classes=classes)
         assert hashlib.sha256(json.dumps(graph_to_json(g)).encode()).hexdigest() == json_digest
         assert hashlib.sha256(graph_to_dot(g).encode()).hexdigest() == dot_digest
+
+    def test_one_class_graph_is_the_full_graph_of_that_class(self):
+        for p in wide_param_sets():
+            full = build_graph(p, 4)
+            for z in sorted({e.z for e in full.edges}):
+                g = build_graph(p, 4, classes=[z])
+                assert g.nodes == full.nodes
+                assert g.edges == tuple(e for e in full.edges if e.z == z)
+
+    def test_builds_each_component_corners_once(self, monkeypatch):
+        # 195 partitions of at most 11 boxes in each of 3 components
+        calls = []
+        kernel = realizations._corners
+
+        def counting(*args):
+            calls.append(args[:2])
+            return kernel(*args)
+
+        monkeypatch.setattr(realizations, "_corners", counting)
+        build_graph(Params(3, Fraction(1, 3), (0, 1, 2)), 12)
+        assert len(calls) == len(set(calls)) == 585
 
     def test_node_ceiling(self):
         with pytest.raises(ResourceCeilingError):

@@ -94,6 +94,29 @@ class TestBoundary:
                     for x, y in zip(b.boxes, b.boxes[1:]):
                         assert p.d_diff(y, x) > 0
 
+    def test_shared_table_matches_fresh_and_oracle(self):
+        # one corner table serves a whole sweep, in either order
+        for p in wide_param_sets():
+            kappa = p.kappa if p.is_rational else None
+            labels = list(multipartitions_up_to(p.ell, 5))
+            for order in (labels, labels[::-1]):
+                shared = {}
+                for m in order:
+                    table = realizations._boundaries(p, m, shared, None)
+                    fresh = boundaries(p, m)
+                    assert table == fresh and list(table) == list(fresh)
+                    assert [(z.kind, z.value) for z in table] == oracles.oracle_classes(
+                        kappa, p.charges, m.components
+                    )
+                    for z, b in table.items():
+                        expected = oracles.oracle_boundary(
+                            kappa, p.ell, p.charges, m.components, (z.kind, z.value)
+                        )
+                        assert [tuple(box) for box in b.boxes] == [box for box, _ in expected]
+                        assert b.sign == oracles.oracle_sign(expected)
+                pairs = {(c, part) for m in labels for c, part in enumerate(m.components)}
+                assert len(shared) == len(pairs)
+
     def test_d_tie_guard(self):
         # only corrupt parameters can tie: kappa = 0, which Params rejects,
         # puts every box in one class with key 0
