@@ -12,9 +12,12 @@ import functools
 import json
 import sys
 
-from . import engine, realizations, serialize, signstrings
+from . import signstrings
 from .errors import CrystalError, ResourceCeilingError, ValidationError
-from .params import cyclotomic_c, hecke_parameters
+
+# bound by _bind_modules on the first command that runs on them, so a cold
+# command loads only what it runs
+engine = realizations = serialize = cyclotomic_c = hecke_parameters = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,6 +30,8 @@ class _Parser(argparse.ArgumentParser):
 # argv before parsing
 _SIGN_FLAGS = {"--string": "string", "--other": "other"}
 _SIGN_FLAG_COMMANDS = {"reduce", "string-op", "class-member"}
+_SIGN_WORD_COMMANDS = {"reduce", "string-op"}
+_ENGINE_COMMANDS = {"depth", "support", "graph", "verify", "params"}
 
 
 def main(argv=None) -> int:
@@ -43,6 +48,7 @@ def main(argv=None) -> int:
             raise ValidationError("a command is required; see --help")
         for dest, value in words.items():
             setattr(args, dest, value)
+        _bind_modules(args.command)
         result = _HANDLERS[args.command](args)
     except CrystalError as err:
         _emit(json.dumps(err.to_json(), sort_keys=True))
@@ -50,6 +56,20 @@ def main(argv=None) -> int:
     payload, code = result if isinstance(result, tuple) else (result, 0)
     _emit(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True))
     return code
+
+
+def _bind_modules(command: str) -> None:
+    # the sign-word commands run on signstrings alone, the engine commands
+    # on engine as well as realizations and serialize; each import runs
+    # once per process, not once per request
+    global engine, realizations, serialize, cyclotomic_c, hecke_parameters
+    if command in _SIGN_WORD_COMMANDS:
+        return
+    if serialize is None:
+        from . import realizations, serialize
+        from .params import cyclotomic_c, hecke_parameters
+    if engine is None and command in _ENGINE_COMMANDS:
+        from . import engine
 
 
 def _emit(text: str) -> None:
@@ -151,7 +171,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--ceiling", type=int, help="node ceiling override")
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, choices=list(engine.SUITES))
+    # no choices list: engine.SUITES is the one list of suites, and an
+    # unknown name is a ValidationError from engine.verify
+    p.add_argument("--suite", required=True, help="suite name; an unknown one exits 2 and lists them")
     p.add_argument("--n", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)

@@ -12,13 +12,13 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import naive
+# naive is imported inside the three suites that check against it, so no
+# other computation loads it
 from .errors import DegenerateClassError, ResourceCeilingError, ValidationError
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     _boundaries,
     apply_flip,
-    boundaries,
     gl_crystal_add,
     gl_crystal_remove,
     gl_positions,
@@ -55,8 +55,10 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
 
     `memo` may be shared across calls with the same parameters; every
     entry is an exact depth, and one call adds at most m.size + 1 entries.
-    Each step rebuilds the boundaries over every component, so the walk
-    charges each step its corner count: a label above
+    The walk builds each (component, rows) pair's corners once, in a
+    corner table of its own that holds the current label's components,
+    but each step still merges the corners of every component, so the
+    walk charges each step its corner count: a label above
     DEFAULT_NODE_CEILING boxes, or a walk whose corners pass
     DEFAULT_NODE_CEILING, raises ResourceCeilingError.
     """
@@ -73,9 +75,10 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
     path = []
     mp = m
     corners = 0
+    corner_table: dict = {}
     while mp is not None and mp not in memo:
         path.append(mp)
-        table = boundaries(params, mp)
+        table = _boundaries(params, mp, corner_table, None)
         corners += sum(len(b) for b in table.values())
         if corners > DEFAULT_NODE_CEILING:
             raise ResourceCeilingError(
@@ -87,7 +90,15 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
                 step = apply_flip(mp, b, raising=False)
                 if step is not None:
                     break
-        mp = None if step is None else step[0]
+        if step is None:
+            mp = None
+        else:
+            # rows only shrink along the walk, so the stepped component's old
+            # corners are never read again: the table keeps one entry per
+            # component, not one per step
+            comp = step[1].comp
+            del corner_table[comp, mp.components[comp]]
+            mp = step[0]
     # the last label on the path is one step above mp, or stuck (depth 0)
     below = -1 if mp is None else memo[mp]
     for k, label in enumerate(reversed(path), 1):
@@ -306,6 +317,8 @@ def _verify_confluence(
             f"confluence would rewrite every word up to length {n} x {runs} trials, above the "
             f"ceiling {ceiling}; raise it explicitly to proceed"
         )
+    from . import naive
+
     rng = random.Random(seed)
     checked = 0
     for length in range(n + 1):
@@ -398,6 +411,8 @@ def _verify_boundary_invariance(
 def _verify_realization_consistency(
     params: Params, max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEILING
 ):
+    from . import naive
+
     kappa = params.kappa if params.is_rational else None
     checked = 0
     corner_table: dict = {}
@@ -433,6 +448,8 @@ def _verify_gl_realization(
         raise ResourceCeilingError(
             f"gl_realization would run more than {ceiling} checks; raise the ceiling to proceed"
         )
+    from . import naive
+
     checked = 0
     for w in itertools.combinations(range(entry_bound, -1, -1), n):
         for i in i_values:

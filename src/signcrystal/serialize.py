@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .engine import CrystalGraph, SupportDescriptor, VerifyReport
 from .errors import ValidationError
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import ZBoundary
 from .young import BoxRef, Multipartition
+
+if TYPE_CHECKING:
+    # annotations only: a command that serializes no engine result never
+    # loads engine
+    from .engine import CrystalGraph, SupportDescriptor, VerifyReport
 
 
 def params_to_json(p: Params) -> dict:

@@ -15,6 +15,7 @@ from signcrystal.engine import VerifyReport
 
 PARAMS_HALF = '{"ell":1,"kappa":{"num":1,"den":2},"charges":[0]}'
 PARAMS_IRR = '{"ell":2,"kappa":"irrational","charges":[0,1]}'
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *args):
@@ -26,6 +27,12 @@ def run_cli(capsys, *args):
 def run_json(capsys, *args):
     code, out = run_cli(capsys, *args)
     return code, json.loads(out)
+
+
+def run_cold(*args):
+    """`python *args` in a fresh process that imports the package from SRC."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def contains_float(value):
@@ -415,6 +422,18 @@ class TestVerifyCommand:
         assert data["error"]["code"] == "VALIDATION"
         assert suite in data["error"]["message"]
 
+    def test_unknown_suite_names_every_suite(self, capsys):
+        code, data = run_json(capsys, "verify", "--suite", "nope")
+        assert code == 2
+        assert data["error"]["code"] == "VALIDATION"
+        for suite in engine.SUITES:
+            assert repr(suite) in data["error"]["message"]
+
+    def test_unknown_suite_in_a_cold_process(self, capsys):
+        done = run_cold("-m", "signcrystal", "verify", "--suite", "nope")
+        assert done.returncode == 2
+        assert done.stdout == run_cli(capsys, "verify", "--suite", "nope")[1]
+
 
 class TestParamsCommand:
     def test_rational(self, capsys):
@@ -518,19 +537,83 @@ class TestParserReuse:
         assert [code for code, _ in reused[6:]] == [2, 0, 2, 0, 2, 0]
 
     def test_import_builds_no_parser(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
         probe = "import signcrystal.cli as c; print(c._build_parser.cache_info().currsize)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "0"
+        done = run_cold("-c", probe)
+        assert done.returncode == 0
+        assert done.stdout.strip() == "0"
 
-    @pytest.mark.parametrize("argv", [["--help"], ["depth", "-h"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["depth", "-h"], ["verify", "-h"]])
     def test_help_returns_zero(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert out.startswith("usage:")
+
+
+# runs one command in a fresh process, then prints the loaded module names
+COLD_PROBE = (
+    "import json, sys; from signcrystal import cli; code = cli.main(sys.argv[1:]); "
+    "print(json.dumps(sorted(sys.modules))); raise SystemExit(code)"
+)
+NOT_FOR_SIGN_WORDS = {
+    "signcrystal.engine",
+    "signcrystal.realizations",
+    "signcrystal.params",
+    "signcrystal.serialize",
+    "signcrystal.naive",
+    "fractions",
+}
+
+
+def cold_modules(*argv) -> set[str]:
+    done = run_cold("-c", COLD_PROBE, *argv)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestColdImports:
+    """A cold command imports only the modules it runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["reduce", "--string", "-+"], ["string-op", "--op", "e", "--string", "-++"]],
+        ids=["reduce", "string-op"],
+    )
+    def test_sign_word_commands(self, argv):
+        loaded = cold_modules(*argv)
+        assert "signcrystal.signstrings" in loaded
+        assert not loaded & NOT_FOR_SIGN_WORDS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boundary", "--params", PARAMS_HALF, "--mp", "[[2]]", "--class", '{"residue":1}'],
+            [
+                "class-member", "--params", PARAMS_HALF, "--mp", "[[2]]",
+                "--class", '{"residue":1}', "--string", "--",
+            ],
+        ],
+        ids=["boundary", "class-member"],
+    )
+    def test_class_commands_load_no_engine(self, argv):
+        loaded = cold_modules(*argv)
+        assert "signcrystal.realizations" in loaded
+        assert not loaded & {"signcrystal.engine", "signcrystal.naive"}
+
+    def test_depth_loads_engine_but_not_naive(self):
+        loaded = cold_modules("depth", "--params", PARAMS_HALF, "--mp", "[[2,1]]")
+        assert "signcrystal.engine" in loaded
+        assert "signcrystal.naive" not in loaded
+
+    def test_patched_engine_reaches_the_first_verify(self):
+        # the CLI binds engine on its first engine command, after the patch
+        probe = (
+            "from signcrystal import cli, engine; "
+            "engine.verify = lambda suite, **b: engine.VerifyReport(suite, {}, False, 1, {}); "
+            "raise SystemExit(cli.main(['verify', '--suite', 'axioms', '--n', '4']))"
+        )
+        done = run_cold("-c", probe)
+        assert done.returncode == 3
+        assert json.loads(done.stdout)["pass"] is False
 
 
 class TestRoundTrip:

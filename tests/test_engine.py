@@ -95,6 +95,32 @@ class TestDepth:
         assert a == b == 5
         assert memo
 
+    def test_wide_one_row_label_walks_its_size(self, monkeypatch):
+        # irrational kappa, zero charges: 50 one-row components of length 50
+        # walk all 2500 boxes away; the 2501 labels on the walk share one
+        # corner table, so 50 components plus one changed one per step, and
+        # the table holds only the current label's 50 components
+        calls = []
+        table_sizes = []
+        corners, merge = realizations._corners, engine._boundaries
+
+        def counting(*args):
+            calls.append(args[:2])
+            return corners(*args)
+
+        def measuring(params, mp, corner_table, only):
+            table = merge(params, mp, corner_table, only)
+            table_sizes.append(len(corner_table))
+            return table
+
+        monkeypatch.setattr(realizations, "_corners", counting)
+        monkeypatch.setattr(engine, "_boundaries", measuring)
+        m = Multipartition(((50,),) * 50)
+        assert depth(Params(50, IRRATIONAL, (0,) * 50), m) == m.size == 2500
+        assert len(calls) == len(set(calls)) == 50 + 2500
+        assert len(table_sizes) == 2501
+        assert set(table_sizes) == {50}
+
     def test_ceiling_counts_corners(self, monkeypatch):
         # the walk from (2,1) builds four tables, with 5 + 3 + 3 + 1 corners
         monkeypatch.setattr(engine, "DEFAULT_NODE_CEILING", 12)

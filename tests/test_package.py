@@ -1,0 +1,71 @@
+"""The package's public names: the same 50 objects as their submodules',
+re-exported lazily, so that importing the package loads no submodule."""
+
+import importlib
+
+import pytest
+
+import signcrystal
+from test_cli import run_cold
+
+PUBLIC = {
+    "engine": [
+        "CrystalGraph", "GraphEdge", "SupportDescriptor", "VerifyReport", "build_graph",
+        "depth", "string_decomposition", "support", "verify",
+    ],
+    "errors": [
+        "CrystalError", "DegenerateClassError", "DTieError", "InvariantViolationError",
+        "ResourceCeilingError", "ValidationError",
+    ],
+    "params": ["IRRATIONAL", "Params", "ZClass", "cyclotomic_c", "hecke_parameters"],
+    "realizations": [
+        "ZBoundary", "boundaries", "boundary", "class_member", "class_representative",
+        "crystal_add", "crystal_remove", "gl_crystal_add", "gl_crystal_remove", "gl_positions",
+        "gl_sign_string", "kgroup_induction", "kgroup_restriction",
+    ],
+    "signstrings": [
+        "e_tilde", "f_tilde", "h_minus", "h_plus", "minus_flips", "plus_flips", "reduced_form",
+        "succ_compare", "suffix_h_minus", "weight",
+    ],
+    "young": [
+        "BoxRef", "Multipartition", "addable_corners", "multipartitions_of",
+        "multipartitions_up_to", "partitions_of", "removable_corners",
+    ],
+}
+NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
+
+
+def test_fifty_names():
+    assert len(NAMES) == len({name for _, name in NAMES}) == 50
+    assert sorted(signcrystal.__all__) == sorted(name for _, name in NAMES)
+
+
+@pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])
+def test_name_is_its_submodules_object(module, name):
+    home = importlib.import_module(f"signcrystal.{module}")
+    assert getattr(signcrystal, name) is getattr(home, name)
+    assert name in dir(signcrystal)
+
+
+def test_star_import_binds_every_name():
+    scope = {}
+    exec("from signcrystal import *", scope)
+    for module, name in NAMES:
+        assert scope[name] is getattr(importlib.import_module(f"signcrystal.{module}"), name)
+
+
+def test_version_and_unknown_attribute():
+    assert signcrystal.__version__ == "0.1.0"
+    assert "__version__" in dir(signcrystal)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        signcrystal.no_such_name
+
+
+def test_import_loads_no_submodule():
+    probe = (
+        "import signcrystal, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('signcrystal.')))"
+    )
+    done = run_cold("-c", probe)
+    assert done.returncode == 0
+    assert done.stdout.strip() == "[]"
