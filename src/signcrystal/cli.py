@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import signstrings
-from .errors import CrystalError, ResourceCeilingError, ValidationError
+from .errors import CrystalError, ValidationError
 
 # bound by _bind_modules on the first command that runs on them, so a cold
 # command loads only what it runs
@@ -31,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 _SIGN_FLAGS = {"--string": "string", "--other": "other"}
 _SIGN_FLAG_COMMANDS = {"reduce", "string-op", "class-member"}
 _SIGN_WORD_COMMANDS = {"reduce", "string-op"}
-_ENGINE_COMMANDS = {"depth", "support", "graph", "verify", "params"}
+_ENGINE_COMMANDS = {"depth", "support", "graph", "verify"}
 
 
 def main(argv=None) -> int:
@@ -375,14 +375,8 @@ def _cmd_params(args):
     out = serialize.params_to_json(p)
     out["e"] = "infinity" if p.e is None else p.e
     if p.is_rational:
-        terms = (p.ell - 1) ** 2
-        if terms > engine.DEFAULT_NODE_CEILING:
-            raise ResourceCeilingError(
-                f"cyclotomic_c at ell={p.ell} sums {terms} terms, above the ceiling "
-                f"{engine.DEFAULT_NODE_CEILING}"
-            )
-        q, qs = hecke_parameters(p)
         c0, rest = cyclotomic_c(p)
+        q, qs = hecke_parameters(p)
         out["hecke"] = {
             "q": serialize.complex_to_json(q),
             "Q": [serialize.complex_to_json(x) for x in qs],

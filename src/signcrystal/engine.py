@@ -14,7 +14,12 @@ from typing import NamedTuple
 
 # naive is imported inside the three suites that check against it, so no
 # other computation loads it
-from .errors import DegenerateClassError, ResourceCeilingError, ValidationError
+from .errors import (
+    DEFAULT_NODE_CEILING,
+    DegenerateClassError,
+    ResourceCeilingError,
+    ValidationError,
+)
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     _boundaries,
@@ -39,7 +44,6 @@ from .signstrings import (
 )
 from .young import BoxRef, Multipartition, multipartitions_up_to
 
-DEFAULT_NODE_CEILING = 2_000_000
 DEFAULT_WORD_CEILING = 1 << 14
 
 

@@ -7,6 +7,10 @@ invariant violation 3, resource ceiling 4).
 
 from __future__ import annotations
 
+# the default bound on the work one computation may do, counted in its
+# own unit: graph nodes, walk steps, boundary corners, summed terms
+DEFAULT_NODE_CEILING = 2_000_000
+
 
 class CrystalError(Exception):
 

@@ -1,17 +1,21 @@
-"""Charged parameter sets and the exact class/ordering arithmetic.
+"""Charged parameter sets, their z-class labels and the numeric converters.
 
 kappa is a reduced nonzero non-integer fraction, or the IRRATIONAL
 sentinel standing for a formal transcendental.  Two boxes share a z-class
 exactly when kappa times their shifted-content difference is an integer:
 for kappa = a/e in lowest terms that is congruence of contents mod e, for
-irrational kappa equality of contents.  The d-function
+irrational kappa equality of contents.  A `ZClass` names a class by that
+residue or content.  The d-function
 
     d(box) = kappa * (ell * cont(box) - sum(charges)) - component
 
-is compared through the integer key of `Params.d_sort_key` (e * d for
-kappa = a/e), so class membership and d-comparisons never touch floating
-point.  Floats appear only in the numeric converters at the bottom of
-this module.
+orders the boxes of one class.  `realizations` compares it through an
+integer key: a * (ell * cont - sum(charges)) - e * component, which is
+e * d, for kappa = a/e; -component for irrational kappa, where the rest
+of d is constant on a class.  Two boxes of one class with equal keys are
+a d-tie (DTieError).  So class membership and d-comparisons never touch
+floating point.  Floats appear only in the numeric converters at the
+bottom of this module.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolationError, ValidationError
-from .young import BoxRef
+from .errors import DEFAULT_NODE_CEILING, ResourceCeilingError, ValidationError
 
 
 class _IrrationalKappa:
@@ -91,19 +94,6 @@ class Params:
     def charge_sum(self) -> int:
         return sum(self.charges)
 
-    def shifted_content(self, box: BoxRef) -> int:
-        if not 0 <= box.comp < self.ell:
-            raise ValidationError(f"component {box.comp} out of range for ell={self.ell}")
-        return self.charges[box.comp] + box.col - box.row
-
-    def class_of_content(self, cont: int) -> ZClass:
-        if self.is_rational:
-            return ZClass("residue", cont % self.kappa.denominator)
-        return ZClass("content", cont)
-
-    def z_class(self, box: BoxRef) -> ZClass:
-        return self.class_of_content(self.shifted_content(box))
-
     def coerce_class(self, z: ZClass) -> ZClass:
         """Check the class label matches the mode; normalize residues."""
         if not isinstance(z, ZClass):
@@ -115,35 +105,6 @@ class Params:
         if z.kind != "content":
             raise ValidationError("irrational kappa indexes classes by exact content")
         return z
-
-    def d_sort_key(self, box: BoxRef):
-        """Orderable key agreeing with the d-function inside one class.
-
-        Rational mode: the integer e * d(box).  Irrational mode: a pair
-        whose first entry is constant on a class, leaving -component.
-        """
-        coeff = self.ell * self.shifted_content(box) - self.charge_sum
-        if self.is_rational:
-            k = self.kappa
-            return k.numerator * coeff - k.denominator * box.comp
-        return (coeff, -box.comp)
-
-    def d_diff(self, x: BoxRef, y: BoxRef) -> int:
-        """Exact integer d(x) - d(y) for two boxes of one class."""
-        zx, zy = self.z_class(x), self.z_class(y)
-        if zx != zy:
-            raise ValidationError(f"d_diff needs boxes of one class, got {zx} and {zy}")
-        if self.is_rational:
-            den = self.kappa.denominator
-            num = self.d_sort_key(x) - self.d_sort_key(y)
-            q, r = divmod(num, den)
-            if r:
-                raise InvariantViolationError(
-                    f"d-values of {tuple(x)} and {tuple(y)} differ by the non-integer {num}/{den}",
-                    code="NON_INTEGER_D_DIFF",
-                )
-            return q
-        return y.comp - x.comp
 
 
 def hecke_parameters(params: Params) -> tuple[complex, tuple[complex, ...]]:
@@ -165,14 +126,22 @@ def cyclotomic_c(params: Params) -> tuple[Fraction, tuple[complex, ...]]:
     """(c_0, (c_1..c_{ell-1})): c_0 = -kappa exactly, the rest double precision.
 
     c_i depends on the charges only through consecutive differences, so a
-    global charge shift leaves every c_i unchanged.
+    global charge shift leaves every c_i unchanged.  The sums take
+    (ell - 1)^2 terms; above DEFAULT_NODE_CEILING that raises
+    ResourceCeilingError.
     """
     if not params.is_rational:
         raise ValidationError(
             "cyclotomic parameters need rational kappa; a formal transcendental has no numeric value"
         )
-    c0 = -params.kappa
     ell = params.ell
+    terms = (ell - 1) ** 2
+    if terms > DEFAULT_NODE_CEILING:
+        raise ResourceCeilingError(
+            f"cyclotomic_c at ell={ell} sums {terms} terms, above the ceiling "
+            f"{DEFAULT_NODE_CEILING}"
+        )
+    c0 = -params.kappa
     # exp(-2 pi i * ij / ell) depends on ij mod ell only
     roots = [_unit_exp(Fraction(-k, ell)) for k in range(ell)]
     try:

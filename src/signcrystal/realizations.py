@@ -53,15 +53,15 @@ def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
     classes m meets.
 
     Each component's addable and removable boxes get their class and an
-    integer key: for kappa = a/e in lowest terms the key of
-    `Params.d_sort_key`, a * (ell * cont - sum(charges)) - e * component,
-    which is e * d(box); for irrational kappa -component, the second entry
-    of that key's pair, whose first entry is constant on a class.  The
-    boundary merges those corners class by class and sorts each class by
-    key.  Within one class the key difference of two boxes is exactly
-    e * (d(y) - d(x)), or d(y) - d(x) itself, so two equal adjacent keys
-    are the same condition as `params.d_diff(y, x) <= 0`: a DTieError,
-    unreachable for valid parameters.
+    integer key.  For kappa = a/e in lowest terms the class is cont mod e
+    and the key is a * (ell * cont - sum(charges)) - e * component, which
+    is e * d(box).  For irrational kappa the class is cont itself and the
+    key is -component: ell * cont - sum(charges) is constant on a class,
+    so -component is d(box) up to that constant.  The boundary merges
+    those corners class by class and sorts each class by key.  Within one
+    class the key difference of two boxes is exactly e * (d(y) - d(x)), or
+    d(y) - d(x) itself, so two equal adjacent keys are two boxes with one
+    d-value: a DTieError, unreachable for valid parameters.
     """
     return _boundaries(params, m, {}, None)
 

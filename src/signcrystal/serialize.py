@@ -1,8 +1,10 @@
 """JSON forms of the public value types, requests and reports.
 
-Every serialized value parses back to an equal value.  Floating point
-appears only in the numeric parameter conversions, which the CLI labels
-as approximate.
+Parameters and class labels are read and written, and a written one
+parses back to an equal value.  A multipartition is read and written as
+its list of rows.  Boxes, boundaries and engine results are written
+only.  Floating point appears only in the numeric parameter
+conversions, which the CLI labels as approximate.
 """
 
 from __future__ import annotations
@@ -77,21 +79,8 @@ def mp_from_json(obj) -> Multipartition:
     return Multipartition.from_lists(obj)
 
 
-def mp_to_json(m: Multipartition) -> dict:
-    return {"components": m.to_lists()}
-
-
 def box_to_json(box: BoxRef) -> dict:
     return {"c": box.comp, "row": box.row, "col": box.col}
-
-
-def box_from_json(obj) -> BoxRef:
-    if not isinstance(obj, dict) or set(obj) != {"c", "row", "col"}:
-        raise ValidationError('box must be {"c":..., "row":..., "col":...}', location="box")
-    c, row, col = obj["c"], obj["row"], obj["col"]
-    if not all(_is_int(v) for v in (c, row, col)) or c < 0 or row < 1 or col < 1:
-        raise ValidationError("box needs c >= 0 and row, col >= 1", location="box")
-    return BoxRef(c, row, col)
 
 
 def fraction_to_json(x: Fraction) -> dict:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from signcrystal.errors import ValidationError
+from signcrystal.errors import ResourceCeilingError, ValidationError
 from signcrystal.params import (
     IRRATIONAL,
     Params,
@@ -11,10 +11,32 @@ from signcrystal.params import (
     cyclotomic_c,
     hecke_parameters,
 )
+from signcrystal import realizations
+from signcrystal.realizations import boundaries
 from signcrystal.serialize import complex_to_json
-from signcrystal.young import BoxRef
+from signcrystal.young import BoxRef, Multipartition
 
 HALF = Fraction(1, 2)
+EMPTY = Multipartition(((),))
+
+
+def kernel_class(kappa, c) -> ZClass:
+    """The production kernel's class of content c: the empty label's one
+    addable box under charge c has content c."""
+    (z,) = boundaries(Params(1, kappa, (c,)), EMPTY)
+    return z
+
+
+def kernel_corners(p: Params, m: Multipartition) -> dict:
+    """box -> (d-key, class value) for every corner of m, from the
+    production kernel."""
+    num, den = (p.kappa.numerator, p.e) if p.is_rational else (None, None)
+    found = {}
+    for comp, part in enumerate(m.components):
+        corners = realizations._corners(comp, part, p.charges[comp], p.ell, p.charge_sum, num, den)
+        for key, value, box, _ in corners:
+            found[box] = (key, value)
+    return found
 
 
 class TestConstruction:
@@ -45,42 +67,45 @@ class TestConstruction:
 
 class TestShiftedContent:
     def test_examples(self):
-        assert Params(2, Fraction(1, 3), (0, 1)).shifted_content(BoxRef(1, 1, 1)) == 1
-        assert Params(1, HALF, (0,)).shifted_content(BoxRef(0, 2, 1)) == -1
-        assert Params(1, HALF, (3,)).shifted_content(BoxRef(0, 1, 3)) == 5
-
-    def test_component_range(self):
-        with pytest.raises(ValidationError):
-            Params(1, HALF, (0,)).shifted_content(BoxRef(1, 1, 1))
+        # irrational kappa: the class value is the shifted content itself
+        for charges, rows, box, cont in (
+            ((0, 1), ((), ()), BoxRef(1, 1, 1), 1),
+            ((0,), ((1,),), BoxRef(0, 2, 1), -1),
+            ((3,), ((2,),), BoxRef(0, 1, 3), 5),
+        ):
+            p = Params(len(charges), IRRATIONAL, charges)
+            assert kernel_corners(p, Multipartition(rows))[box][1] == cont
 
 
 class TestZClass:
     def test_rational_congruence(self):
-        p = Params(1, HALF, (0,))
-        assert p.class_of_content(0) == p.class_of_content(2)
-        assert p.class_of_content(0) != p.class_of_content(1)
+        assert kernel_class(HALF, 0) == kernel_class(HALF, 2)
+        assert kernel_class(HALF, 0) != kernel_class(HALF, 1)
 
     def test_irrational_equality(self):
-        p = Params(1, IRRATIONAL, (0,))
-        assert p.class_of_content(0) != p.class_of_content(2)
-        assert p.class_of_content(2) == ZClass("content", 2)
+        assert kernel_class(IRRATIONAL, 0) != kernel_class(IRRATIONAL, 2)
+        assert kernel_class(IRRATIONAL, 2) == ZClass("content", 2)
 
     def test_two_thirds(self):
-        p = Params(1, Fraction(2, 3), (0,))
-        assert p.class_of_content(1) == p.class_of_content(4)
+        assert kernel_class(Fraction(2, 3), 1) == kernel_class(Fraction(2, 3), 4)
 
     def test_soundness_window(self):
-        # same class exactly when kappa * (difference) is an integer
+        # same class exactly when kappa * (difference) is an integer, read off
+        # the production kernel
+        contents = range(-20, 21)
         for e in range(2, 13):
-            for num in range(1, e):
-                if Fraction(num, e).denominator != e:
+            for num in range(1 - e, e):
+                if num == 0 or Fraction(num, e).denominator != e:
                     continue
                 kappa = Fraction(num, e)
-                p = Params(1, kappa, (0,))
-                for c1 in range(-20, 21):
-                    for c2 in range(-20, 21):
+                classes = {c: kernel_class(kappa, c) for c in contents}
+                for c1 in contents:
+                    assert classes[c1] == ZClass("residue", c1 % e)
+                    for c2 in contents:
                         same = (kappa * (c1 - c2)).denominator == 1
-                        assert (p.class_of_content(c1) == p.class_of_content(c2)) == same
+                        assert (classes[c1] == classes[c2]) == same
+        for c in contents:
+            assert kernel_class(IRRATIONAL, c) == ZClass("content", c)
 
     def test_coerce_normalizes_residue(self):
         p = Params(1, HALF, (0,))
@@ -94,24 +119,34 @@ class TestZClass:
 
 
 class TestDDiff:
+    """d-differences read off the kernel's keys: e * d, or -component."""
+
     def test_rational(self):
         p = Params(1, HALF, (0,))
+        keys = kernel_corners(p, Multipartition(((1,),)))
         x, y = BoxRef(0, 1, 2), BoxRef(0, 2, 1)  # contents 1 and -1
-        assert p.d_diff(x, y) == 1
+        assert keys[x][1] == keys[y][1]
+        assert keys[x][0] - keys[y][0] == p.e * 1  # d(x) - d(y) = 1
 
     def test_zero_on_equal_box(self):
+        # a box's key is its own: addable in one label, removable in the next
         p = Params(1, HALF, (0,))
-        assert p.d_diff(BoxRef(0, 1, 2), BoxRef(0, 1, 2)) == 0
+        box = BoxRef(0, 1, 2)
+        added = kernel_corners(p, Multipartition(((1,),)))[box]
+        assert kernel_corners(p, Multipartition(((2,),)))[box] == added
 
     def test_irrational_component_difference(self):
         p = Params(2, IRRATIONAL, (0, 0))
+        keys = kernel_corners(p, Multipartition(((), ())))
         x, y = BoxRef(0, 1, 1), BoxRef(1, 1, 1)  # equal contents
-        assert p.d_diff(x, y) == 1
+        assert keys[x][1] == keys[y][1]
+        assert keys[x][0] - keys[y][0] == 1
 
     def test_rejects_different_classes(self):
-        p = Params(1, HALF, (0,))
-        with pytest.raises(ValidationError):
-            p.d_diff(BoxRef(0, 1, 1), BoxRef(0, 1, 2))
+        # boxes of two classes never share a class value, so no d-difference
+        # between them is ever taken
+        keys = kernel_corners(Params(1, HALF, (0,)), Multipartition(((1,),)))
+        assert keys[BoxRef(0, 1, 1)][1] != keys[BoxRef(0, 1, 2)][1]  # contents 0 and 1
 
 
 class TestNumericConverters:
@@ -206,6 +241,13 @@ class TestNumericConverters:
             assert abs(c.real - want_re) <= 1e-15 * abs(want_re)
             assert abs(c.imag - want_im) <= 1e-15 * abs(want_im)
         assert c3 == c1.conjugate()
+
+    def test_cyclotomic_ceiling(self):
+        # (ell - 1)^2 terms: 1415 is the largest ell within the ceiling
+        with pytest.raises(ResourceCeilingError, match="ell=1416 sums 2002225 terms"):
+            cyclotomic_c(Params(1416, HALF, (0,) * 1416))
+        _, rest = cyclotomic_c(Params(1415, HALF, (0,) * 1415))
+        assert len(rest) == 1414
 
     def test_cyclotomic_rejects_irrational(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 import time
 from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
 import pytest
@@ -79,6 +80,7 @@ class TestBoundary:
     def test_matches_oracle(self):
         for p in wide_param_sets():
             kappa = p.kappa if p.is_rational else None
+            d = partial(oracles.oracle_d, kappa, p.ell, p.charges)
             for m in multipartitions_up_to(p.ell, 5):
                 table = boundaries(p, m)
                 assert [(z.kind, z.value) for z in table] == oracles.oracle_classes(
@@ -92,7 +94,30 @@ class TestBoundary:
                     assert [tuple(box) for box in b.boxes] == [box for box, _ in expected]
                     assert b.sign == oracles.oracle_sign(expected)
                     for x, y in zip(b.boxes, b.boxes[1:]):
-                        assert p.d_diff(y, x) > 0
+                        assert d(y) > d(x)
+
+    def test_corner_keys_match_oracle(self):
+        # the kernel's values, not only their order: the key is e * d, or
+        # -component for irrational kappa; the class value is the content
+        # mod e, or the content itself
+        for p in wide_param_sets():
+            kappa = p.kappa if p.is_rational else None
+            num, den = (kappa.numerator, kappa.denominator) if p.is_rational else (None, None)
+            labels = multipartitions_up_to(p.ell, 5)
+            for comp, part in {pair for m in labels for pair in enumerate(m.components)}:
+                found = realizations._corners(
+                    comp, part, p.charges[comp], p.ell, p.charge_sum, num, den
+                )
+                expected = [((comp, r, c), "+") for r, c in oracles.oracle_addable(part)]
+                expected += [((comp, r, c), "-") for r, c in oracles.oracle_removable(part)]
+                assert sorted((tuple(box), sym) for _, _, box, sym in found) == sorted(expected)
+                for key, value, box, _ in found:
+                    cont = oracles.oracle_content(p.charges, box)
+                    if kappa is None:
+                        assert (key, value) == (-comp, cont)
+                    else:
+                        assert key == p.e * oracles.oracle_d(kappa, p.ell, p.charges, box)
+                        assert value == cont % p.e
 
     def test_shared_table_matches_fresh_and_oracle(self):
         # one corner table serves a whole sweep, in either order
@@ -122,7 +147,8 @@ class TestBoundary:
         # puts every box in one class with key 0
         p = Params(1, HALF, (0,))
         object.__setattr__(p, "kappa", Fraction(0))
-        assert p.d_diff(BoxRef(0, 1, 2), BoxRef(0, 2, 1)) == 0
+        tie = [oracles.oracle_d(p.kappa, 1, p.charges, box) for box in ((0, 1, 2), (0, 2, 1))]
+        assert tie == [0, 0]
         with pytest.raises(DTieError):
             boundary(p, ROW2, RES0)
         with pytest.raises(DTieError):
@@ -180,14 +206,15 @@ class TestClassRepresentative:
                     assert class_representative(p, rep, z) == rep
 
     def test_matches_z_class_reference(self):
-        # the representative drops exactly the removable boxes that
-        # Params.z_class puts in class z
+        # the representative drops exactly the removable boxes that the
+        # oracle puts in class z
         for p in small_param_sets():
+            kappa = p.kappa if p.is_rational else None
             for m in multipartitions_up_to(p.ell, 5):
                 for z in sorted(boundaries(p, m)):
                     rep = m
                     for box in sorted(m.removable_boxes, key=lambda b: (b.comp, -b.row)):
-                        if p.z_class(box) == z:
+                        if oracles.oracle_in_class(kappa, p.charges, box, (z.kind, z.value)):
                             rep = rep.remove_box(box)
                     assert class_representative(p, m, z) == rep
 
@@ -303,7 +330,8 @@ class TestBoundaryStability:
         for p in small_param_sets():
             for m in multipartitions_up_to(p.ell, 5):
                 for x in m.addable_boxes:
-                    z = p.z_class(x)
+                    cont = oracles.oracle_content(p.charges, x)
+                    z = ZClass("residue", cont % p.e) if p.is_rational else ZClass("content", cont)
                     before = boundary(p, m, z)
                     after = boundary(p, m.add_box(x), z)
                     assert after.boxes == before.boxes
@@ -317,7 +345,7 @@ class TestBoundaryStability:
                 continue  # every class is within 1 of every other
             for m in multipartitions_up_to(p.ell, 5):
                 for x in m.addable_boxes:
-                    cx = p.shifted_content(x)
+                    cx = oracles.oracle_content(p.charges, x)
                     grown = m.add_box(x)
                     labels = set(boundaries(p, m)) | set(boundaries(p, grown))
                     for z in labels:
