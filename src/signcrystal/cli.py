@@ -59,14 +59,18 @@ def main(argv=None) -> int:
 
 
 def _bind_modules(command: str) -> None:
-    # the sign-word commands run on signstrings alone, the engine commands
-    # on engine as well as realizations and serialize; each import runs
-    # once per process, not once per request
+    # the sign-word commands run on signstrings alone, gl-op on realizations
+    # alone, the engine commands on engine as well as realizations and
+    # serialize; each import runs once per process, not once per request
     global engine, realizations, serialize, cyclotomic_c, hecke_parameters
     if command in _SIGN_WORD_COMMANDS:
         return
+    if realizations is None:
+        from . import realizations
+    if command == "gl-op":
+        return
     if serialize is None:
-        from . import realizations, serialize
+        from . import serialize
         from .params import cyclotomic_c, hecke_parameters
     if engine is None and command in _ENGINE_COMMANDS:
         from . import engine

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 # naive is imported inside the three suites that check against it, so no
@@ -23,6 +24,7 @@ from .errors import (
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     _boundaries,
+    _merge,
     apply_flip,
     gl_crystal_add,
     gl_crystal_remove,
@@ -32,6 +34,7 @@ from .realizations import (
 from .signstrings import (
     MINUS,
     PLUS,
+    _reduce,
     e_tilde,
     f_tilde,
     iter_words,
@@ -42,7 +45,7 @@ from .signstrings import (
     suffix_h_minus,
     weight,
 )
-from .young import BoxRef, Multipartition, multipartitions_up_to
+from .young import BoxRef, Multipartition, multipartitions_of, multipartitions_up_to
 
 DEFAULT_WORD_CEILING = 1 << 14
 
@@ -82,27 +85,28 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
     corner_table: dict = {}
     while mp is not None and mp not in memo:
         path.append(mp)
-        table = _boundaries(params, mp, corner_table, None)
-        corners += sum(len(b) for b in table.values())
+        merged = _merge(params, mp, corner_table, None)
+        corners += sum(len(boxes) for _, boxes, _ in merged)
         if corners > DEFAULT_NODE_CEILING:
             raise ResourceCeilingError(
                 f"depth would rebuild more than {DEFAULT_NODE_CEILING} boundary corners"
             )
-        step = None
-        for b in table.values():
-            if MINUS in b.sign:
-                step = apply_flip(mp, b, raising=False)
-                if step is not None:
+        box = None
+        for _, boxes, sign in merged:
+            if MINUS in sign:
+                # the lowering flip: the leftmost '-' that survives reduction
+                i = _reduce(sign).find(MINUS)
+                if i >= 0:
+                    box = boxes[i]
                     break
-        if step is None:
+        if box is None:
             mp = None
         else:
             # rows only shrink along the walk, so the stepped component's old
             # corners are never read again: the table keeps one entry per
             # component, not one per step
-            comp = step[1].comp
-            del corner_table[comp, mp.components[comp]]
-            mp = step[0]
+            del corner_table[box.comp, mp.components[box.comp]]
+            mp = mp.remove_box(box)
     # the last label on the path is one step above mp, or stuck (depth 0)
     below = -1 if mp is None else memo[mp]
     for k, label in enumerate(reversed(path), 1):
@@ -161,8 +165,8 @@ def build_graph(
     per class every node has at most one outgoing and one incoming edge.
     An edge names its endpoints by their index in `nodes`, and every edge
     of one class holds the same ZClass object.  Edges come in (source, z)
-    order: the nodes are sorted, and each boundary table comes in class
-    order.
+    order: the nodes are sorted, and `_merge` gives each node's classes in
+    class order.
     """
     if not isinstance(max_boxes, int) or isinstance(max_boxes, bool) or max_boxes < 0:
         raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
@@ -172,25 +176,33 @@ def build_graph(
     if classes is not None:
         allowed = tuple(sorted({params.coerce_class(z) for z in classes}))
         only = {z.value for z in allowed}
+    # size by size, each size sorted by its rows: the order of sort_key
     nodes: list[Multipartition] = []
-    for mp in multipartitions_up_to(params.ell, max_boxes):
-        nodes.append(mp)
-        if len(nodes) > node_ceiling:
-            raise ResourceCeilingError(f"graph would exceed the node ceiling {node_ceiling}")
-    nodes.sort(key=lambda mp: mp.sort_key())
+    for n in range(max_boxes + 1):
+        below = len(nodes)
+        for mp in multipartitions_of(params.ell, n):
+            nodes.append(mp)
+            if len(nodes) > node_ceiling:
+                raise ResourceCeilingError(f"graph would exceed the node ceiling {node_ceiling}")
+        nodes[below:] = sorted(nodes[below:], key=attrgetter("components"))
     index = {mp.components: k for k, mp in enumerate(nodes)}
 
-    one_per_class: dict[ZClass, ZClass] = {}
+    # the nodes of size max_boxes come last and take no box-adding edge
+    kind = "residue" if params.is_rational else "content"
+    zs: dict[int, ZClass] = {}
     corner_table: dict = {}
     edges = []
-    for k, mp in enumerate(nodes):
-        if mp.size >= max_boxes:
-            continue
-        for z, b in _boundaries(params, mp, corner_table, only).items():
-            step = apply_flip(mp, b, raising=True)
-            if step is not None:
-                z = one_per_class.setdefault(z, z)
-                edges.append(GraphEdge(k, index[step[0].components], z, step[1]))
+    for k in range(below):
+        mp = nodes[k]
+        for value, boxes, sign in _merge(params, mp, corner_table, only):
+            # the raising flip: the rightmost '+' that survives reduction
+            i = _reduce(sign).rfind(PLUS)
+            if i >= 0:
+                z = zs.get(value)
+                if z is None:
+                    z = zs[value] = ZClass(kind, value)
+                box = boxes[i]
+                edges.append(GraphEdge(k, index[mp.add_box(box).components], z, box))
     return CrystalGraph(params, max_boxes, tuple(nodes), tuple(edges), allowed)
 
 

@@ -91,10 +91,21 @@ def _corners(
 def _boundaries(
     params: Params, m: Multipartition, corner_table: dict, only
 ) -> dict[ZClass, ZBoundary]:
+    """`_merge` packed as {ZClass: ZBoundary}, in class order."""
+    kind = "residue" if params.is_rational else "content"
+    table = {}
+    for value, boxes, sign in _merge(params, m, corner_table, only):
+        z = ZClass(kind, value)
+        table[z] = ZBoundary(z, boxes, sign)
+    return table
+
+
+def _merge(params: Params, m: Multipartition, corner_table: dict, only) -> list:
     """The kernel of `boundaries`: merge the corners of m's components class
-    by class.  `corner_table` maps (component, rows) to `_corners` and may be
-    shared by calls with the same params; `only`, when not None, holds the
-    class values (residues, or contents for irrational kappa) to build."""
+    by class into (class value, boxes, sign word) tuples, in class order.
+    `corner_table` maps (component, rows) to `_corners` and may be shared
+    by calls with the same params; `only`, when not None, holds the class
+    values (residues, or contents for irrational kappa) to build."""
     _check_pair(params, m)
     ell, charges, total = params.ell, params.charges, params.charge_sum
     num = den = None
@@ -109,20 +120,19 @@ def _boundaries(
         for corner in own:
             if only is None or corner[1] in only:
                 found[corner[1]].append(corner)
-    kind = "content" if den is None else "residue"
-    table = {}
+    merged = []
     for value in sorted(found):
         entries = found[value]
         entries.sort()
         keys, _, boxes, signs = zip(*entries)
-        z = ZClass(kind, value)
         for k in range(1, len(keys)):
             if keys[k - 1] == keys[k]:
+                z = ZClass("content" if den is None else "residue", value)
                 raise DTieError(
                     f"boxes {tuple(boxes[k - 1])} and {tuple(boxes[k])} share a d-value in class {z}"
                 )
-        table[z] = ZBoundary(z, boxes, "".join(signs))
-    return table
+        merged.append((value, boxes, "".join(signs)))
+    return merged
 
 
 def class_representative(params: Params, m: Multipartition, z: ZClass) -> Multipartition:

@@ -36,6 +36,11 @@ def check_sign_string(t: str) -> str:
 
 def reduced_form(t: str) -> str:
     check_sign_string(t)
+    return _reduce(t)
+
+
+def _reduce(t: str) -> str:
+    """`reduced_form` of a word already known to be over '+'/'-'."""
     out = list(t)
     open_minus: list[int] = []
     for i, sym in enumerate(t):

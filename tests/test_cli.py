@@ -599,6 +599,12 @@ class TestColdImports:
         assert "signcrystal.realizations" in loaded
         assert not loaded & {"signcrystal.engine", "signcrystal.naive"}
 
+    def test_gl_op_loads_realizations_alone(self):
+        # the dominant-weight realization needs neither serialize nor engine
+        loaded = cold_modules("gl-op", "--op", "remove", "--weight", "[5,4,2]", "--i", "1", "--p", "3")
+        assert "signcrystal.realizations" in loaded
+        assert not loaded & {"signcrystal.serialize", "signcrystal.engine", "signcrystal.naive"}
+
     def test_params_loads_no_engine(self):
         # the cyclotomic ceiling lives in the library, not in engine
         loaded = cold_modules("params", "--params", PARAMS_HALF)

@@ -102,24 +102,37 @@ class TestDepth:
         # the table holds only the current label's 50 components
         calls = []
         table_sizes = []
-        corners, merge = realizations._corners, engine._boundaries
+        corners, merge = realizations._corners, engine._merge
 
         def counting(*args):
             calls.append(args[:2])
             return corners(*args)
 
         def measuring(params, mp, corner_table, only):
-            table = merge(params, mp, corner_table, only)
+            merged = merge(params, mp, corner_table, only)
             table_sizes.append(len(corner_table))
-            return table
+            return merged
 
         monkeypatch.setattr(realizations, "_corners", counting)
-        monkeypatch.setattr(engine, "_boundaries", measuring)
+        monkeypatch.setattr(engine, "_merge", measuring)
         m = Multipartition(((50,),) * 50)
         assert depth(Params(50, IRRATIONAL, (0,) * 50), m) == m.size == 2500
         assert len(calls) == len(set(calls)) == 50 + 2500
         assert len(table_sizes) == 2501
         assert set(table_sizes) == {50}
+
+    def test_reads_merged_words_not_boundary_objects(self, monkeypatch):
+        # the walk reads _merge's words itself: no class boundary, no flip
+        # helper; the depths are the ones the boundary-table walk gave
+        forbid_boundary_objects(monkeypatch)
+        p = Params(3, Fraction(1, 3), (0, 1, 2))
+        assert depth(p, Multipartition(((3, 1), (2,), (1, 1)))) == 8
+        assert depth(Params(20, IRRATIONAL, (0,) * 20), Multipartition(((20,),) * 20)) == 400
+        memo: dict = {}
+        found = [depth(P_HALF, m, memo) for m in multipartitions_up_to(1, 6)]
+        assert found == [
+            0, 1, 2, 0, 3, 3, 1, 4, 4, 0, 2, 0, 5, 5, 5, 3, 1, 3, 1, 6, 6, 6, 4, 0, 6, 4, 2, 0, 2, 0
+        ]
 
     def test_ceiling_counts_corners(self, monkeypatch):
         # the walk from (2,1) builds four tables, with 5 + 3 + 3 + 1 corners
@@ -147,6 +160,19 @@ class TestDepth:
             for label, d in cold.items():
                 assert d == oracles.oracle_depth(raw_kappa, ell, p.charges, label.components, oracle_memo)
             assert depth(p, m, shared) == expected
+
+
+def forbid_boundary_objects(monkeypatch):
+    """Make every class-boundary path raise: the boundary table, its
+    ZBoundary records and the flip helper that reads them."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_graph and depth read _merge's words")
+
+    for module in (realizations, engine):
+        monkeypatch.setattr(module, "_boundaries", forbidden)
+        monkeypatch.setattr(module, "apply_flip", forbidden)
+    monkeypatch.setattr(realizations, "ZBoundary", forbidden)
 
 
 class TestSupport:
@@ -283,6 +309,47 @@ class TestGraph:
                 g = build_graph(p, 4, classes=[z])
                 assert g.nodes == full.nodes
                 assert g.edges == tuple(e for e in full.edges if e.z == z)
+
+    def test_matches_oracle_graph(self):
+        # the graph edge by edge from the oracle's classes and its raising
+        # flip, on every wide parameter set; then each class alone
+        for p in wide_param_sets():
+            kappa = p.kappa if p.is_rational else None
+            nodes = sorted(
+                (m.components for m in multipartitions_up_to(p.ell, 4)),
+                key=lambda comps: (sum(map(sum, comps)), comps),
+            )
+            index = {comps: k for k, comps in enumerate(nodes)}
+            expected = []
+            for k, comps in enumerate(nodes):
+                if sum(map(sum, comps)) == 4:
+                    continue
+                for z in oracles.oracle_classes(kappa, p.charges, comps):
+                    step = oracles.oracle_add(kappa, p.ell, p.charges, comps, z)
+                    if step is not None:
+                        expected.append((k, index[step[0]], z, step[1]))
+
+            def simple(g):
+                assert [m.components for m in g.nodes] == nodes
+                return [(e.source, e.target, (e.z.kind, e.z.value), tuple(e.box)) for e in g.edges]
+
+            assert expected and simple(build_graph(p, 4)) == expected
+            for z in sorted({edge[2] for edge in expected}):
+                g = build_graph(p, 4, classes=[ZClass(*z)])
+                assert simple(g) == [edge for edge in expected if edge[2] == z]
+
+    def test_reads_merged_words_not_boundary_objects(self, monkeypatch):
+        # build_graph reads _merge's words itself: no class boundary, no
+        # flip helper; the bytes are the pinned ones of the boundary build
+        forbid_boundary_objects(monkeypatch)
+        g = build_graph(Params(2, Fraction(1, 3), (0, 1)), 5)
+        assert hashlib.sha256(json.dumps(graph_to_json(g)).encode()).hexdigest() == (
+            "4ad7465ab408e02dcfd07541be6a8839a928954e998d65b34ce4c87cc297814c"
+        )
+        g = build_graph(P_HALF, 6, classes=[ZClass("residue", 0)])
+        assert hashlib.sha256(json.dumps(graph_to_json(g)).encode()).hexdigest() == (
+            "83f943846ec5e067737cdb8f5ccf392049a1a1a7b08d044d387d3111ee976207"
+        )
 
     def test_builds_each_component_corners_once(self, monkeypatch):
         # 195 partitions of at most 11 boxes in each of 3 components

@@ -7,6 +7,7 @@ from math import isqrt
 import pytest
 
 import oracles
+from signcrystal.engine import build_graph, depth
 from signcrystal.errors import (
     DegenerateClassError,
     DTieError,
@@ -153,6 +154,12 @@ class TestBoundary:
             boundary(p, ROW2, RES0)
         with pytest.raises(DTieError):
             boundaries(p, ROW2)
+        # the graph and the depth walk read the same merge, guard included
+        with pytest.raises(DTieError) as graph_tie:
+            build_graph(p, 2)
+        with pytest.raises(DTieError) as walk_tie:
+            depth(p, ROW2)
+        assert graph_tie.traceback[-1].name == walk_tie.traceback[-1].name == "_merge"
 
     def test_wrong_class_kind(self):
         with pytest.raises(ValidationError):
