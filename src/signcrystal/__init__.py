@@ -62,11 +62,10 @@ _EXPORTS = {
     "young": (
         "BoxRef",
         "Multipartition",
-        "addable_corners",
+        "corners",
         "multipartitions_of",
         "multipartitions_up_to",
         "partitions_of",
-        "removable_corners",
     ),
 }
 

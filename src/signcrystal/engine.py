@@ -23,9 +23,9 @@ from .errors import (
 )
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
-    _boundaries,
+    _check_pair,
     _merge,
-    apply_flip,
+    _step,
     gl_crystal_add,
     gl_crystal_remove,
     gl_positions,
@@ -34,7 +34,7 @@ from .realizations import (
 from .signstrings import (
     MINUS,
     PLUS,
-    _reduce,
+    _flip_at,
     e_tilde,
     f_tilde,
     iter_words,
@@ -69,10 +69,7 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
     DEFAULT_NODE_CEILING boxes, or a walk whose corners pass
     DEFAULT_NODE_CEILING, raises ResourceCeilingError.
     """
-    if m.ell != params.ell:
-        raise ValidationError(
-            f"multipartition has {m.ell} components, parameters expect {params.ell}"
-        )
+    _check_pair(params, m)
     if m.size > DEFAULT_NODE_CEILING:
         raise ResourceCeilingError(
             f"depth walks up to {m.size} steps, above the ceiling {DEFAULT_NODE_CEILING}"
@@ -93,12 +90,10 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
             )
         box = None
         for _, boxes, sign in merged:
-            if MINUS in sign:
-                # the lowering flip: the leftmost '-' that survives reduction
-                i = _reduce(sign).find(MINUS)
-                if i >= 0:
-                    box = boxes[i]
-                    break
+            i = _flip_at(sign, False)  # the lowering flip
+            if i >= 0:
+                box = boxes[i]
+                break
         if box is None:
             mp = None
         else:
@@ -176,7 +171,7 @@ def build_graph(
     if classes is not None:
         allowed = tuple(sorted({params.coerce_class(z) for z in classes}))
         only = {z.value for z in allowed}
-    # size by size, each size sorted by its rows: the order of sort_key
+    # size by size, each size sorted by its rows: (size, rows) order
     nodes: list[Multipartition] = []
     for n in range(max_boxes + 1):
         below = len(nodes)
@@ -195,8 +190,7 @@ def build_graph(
     for k in range(below):
         mp = nodes[k]
         for value, boxes, sign in _merge(params, mp, corner_table, only):
-            # the raising flip: the rightmost '+' that survives reduction
-            i = _reduce(sign).rfind(PLUS)
+            i = _flip_at(sign, True)  # the raising flip
             if i >= 0:
                 z = zs.get(value)
                 if z is None:
@@ -396,30 +390,31 @@ def _verify_boundary_invariance(
 ):
     # each check merges a boundary over all of the label's corners, so a
     # label costs its checks times its corners against the ceiling
+    kind = "residue" if params.is_rational else "content"
     checked = work = 0
     corner_table: dict = {}
     for m in multipartitions_up_to(params.ell, max_boxes):
-        table = _boundaries(params, m, corner_table, None)
-        corners = sum(len(b.boxes) for b in table.values())
-        work += corners * sum(b.sign.count(PLUS) for b in table.values())
+        merged = _merge(params, m, corner_table, None)
+        corners = sum(len(boxes) for _, boxes, _ in merged)
+        work += corners * sum(sign.count(PLUS) for _, _, sign in merged)
         if work > ceiling:
             raise ResourceCeilingError(
                 f"boundary_invariance would rebuild more than {ceiling} boundary corners; "
                 "raise the ceiling to proceed"
             )
-        for z, before in table.items():
-            for k, sym in enumerate(before.sign):
+        for value, boxes, sign in merged:
+            for k, sym in enumerate(sign):
                 if sym != PLUS:
                     continue
-                x = before.boxes[k]
-                after = _boundaries(params, m.add_box(x), corner_table, (z.value,)).get(z)
-                expected = before.sign[:k] + MINUS + before.sign[k + 1 :]
+                x = boxes[k]
+                after = _merge(params, m.add_box(x), corner_table, (value,))
+                expected = sign[:k] + MINUS + sign[k + 1 :]
                 checked += 1
-                if after is None or after.boxes != before.boxes or after.sign != expected:
+                if after != [(value, boxes, expected)]:
                     return checked, {
                         "multipartition": m.to_lists(),
                         "box": list(x),
-                        "class": [z.kind, z.value],
+                        "class": [kind, value],
                     }
     return checked, None
 
@@ -430,18 +425,19 @@ def _verify_realization_consistency(
     from . import naive
 
     kappa = params.kappa if params.is_rational else None
+    kind = "residue" if params.is_rational else "content"
     checked = 0
     corner_table: dict = {}
     for m in _labels_up_to("realization_consistency", params.ell, max_boxes, ceiling):
-        for z, b in _boundaries(params, m, corner_table, None).items():
-            zp = (z.kind, z.value)
+        for value, boxes, sign in _merge(params, m, corner_table, None):
+            zp = (kind, value)
             checked += 1
             for production, reference in (
-                (apply_flip(m, b, raising=True), naive.crystal_add(params.ell, kappa, params.charges, m.components, zp)),
-                (apply_flip(m, b, raising=False), naive.crystal_remove(params.ell, kappa, params.charges, m.components, zp)),
+                (_step(m, boxes, sign, raising=True), naive.crystal_add(params.ell, kappa, params.charges, m.components, zp)),
+                (_step(m, boxes, sign, raising=False), naive.crystal_remove(params.ell, kappa, params.charges, m.components, zp)),
             ):
                 if not _same_step(production, reference):
-                    return checked, {"multipartition": m.to_lists(), "class": [z.kind, z.value]}
+                    return checked, {"multipartition": m.to_lists(), "class": [kind, value]}
     return checked, None
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateClassError, DTieError, ResourceCeilingError, ValidationError
 from .params import Params, ZClass
-from .signstrings import MINUS, PLUS, check_sign_string, e_tilde, f_tilde
+from .signstrings import MINUS, PLUS, _flip_at, check_sign_string
 from .young import BoxRef, Multipartition, Partition, corners
 
 
@@ -43,9 +43,15 @@ def _check_pair(params: Params, m: Multipartition) -> None:
 def boundary(params: Params, m: Multipartition, z: ZClass) -> ZBoundary:
     """Addable and removable z-boxes sorted by increasing d-value; empty
     when m has no boundary box in class z.  See `boundaries`."""
+    return ZBoundary(*_class_word(params, m, z))
+
+
+def _class_word(params: Params, m: Multipartition, z: ZClass) -> tuple:
+    """(z, boxes, sign word) of the one class z: `_merge` of that class
+    alone, with no boxes and an empty word when m does not meet it."""
     z = params.coerce_class(z)
-    table = _boundaries(params, m, {}, (z.value,))
-    return table[z] if table else ZBoundary(z, (), "")
+    merged = _merge(params, m, {}, (z.value,))
+    return (z,) + merged[0][1:] if merged else (z, (), "")
 
 
 def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
@@ -63,7 +69,12 @@ def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
     d(y) - d(x) itself, so two equal adjacent keys are two boxes with one
     d-value: a DTieError, unreachable for valid parameters.
     """
-    return _boundaries(params, m, {}, None)
+    kind = "residue" if params.is_rational else "content"
+    table = {}
+    for value, boxes, sign in _merge(params, m, {}, None):
+        z = ZClass(kind, value)
+        table[z] = ZBoundary(z, boxes, sign)
+    return table
 
 
 def _corners(
@@ -86,18 +97,6 @@ def _corners(
                 cont = charge + col - row
                 found.append((scale * cont - shift, cont % den, make_box((comp, row, col)), sym))
     return found
-
-
-def _boundaries(
-    params: Params, m: Multipartition, corner_table: dict, only
-) -> dict[ZClass, ZBoundary]:
-    """`_merge` packed as {ZClass: ZBoundary}, in class order."""
-    kind = "residue" if params.is_rational else "content"
-    table = {}
-    for value, boxes, sign in _merge(params, m, corner_table, only):
-        z = ZClass(kind, value)
-        table[z] = ZBoundary(z, boxes, sign)
-    return table
 
 
 def _merge(params: Params, m: Multipartition, corner_table: dict, only) -> list:
@@ -141,12 +140,13 @@ def class_representative(params: Params, m: Multipartition, z: ZClass) -> Multip
     Removable boxes occupy pairwise distinct rows, so the simultaneous
     deletion always yields a partition.
     """
-    return _representative(m, boundary(params, m, z))
+    _, boxes, sign = _class_word(params, m, z)
+    return _representative(m, boxes, sign)
 
 
-def _representative(m: Multipartition, b: ZBoundary) -> Multipartition:
+def _representative(m: Multipartition, boxes: tuple, sign: str) -> Multipartition:
     rows = [list(part) for part in m.components]
-    for box, sym in zip(b.boxes, b.sign):
+    for box, sym in zip(boxes, sign):
         if sym == MINUS:
             rows[box.comp][box.row - 1] -= 1
     return Multipartition(tuple(rows))
@@ -155,13 +155,13 @@ def _representative(m: Multipartition, b: ZBoundary) -> Multipartition:
 def class_member(params: Params, m: Multipartition, z: ZClass, word: str) -> Multipartition:
     """The member of m's class whose boundary sign word equals `word`."""
     check_sign_string(word)
-    b = boundary(params, m, z)
-    if len(word) != len(b):
+    _, boxes, sign = _class_word(params, m, z)
+    if len(word) != len(boxes):
         raise ValidationError(
-            f"word length {len(word)} does not match boundary size {len(b)}"
+            f"word length {len(word)} does not match boundary size {len(boxes)}"
         )
-    member = _representative(m, b)
-    for sym, box in zip(word, b.boxes):
+    member = _representative(m, boxes, sign)
+    for sym, box in zip(word, boxes):
         if sym == MINUS:
             member = member.add_box(box)
     return member
@@ -169,34 +169,36 @@ def class_member(params: Params, m: Multipartition, z: ZClass, word: str) -> Mul
 
 def crystal_add(params: Params, m: Multipartition, z: ZClass) -> tuple[Multipartition, BoxRef] | None:
     """Add the box at the raising flip of the boundary word; None if h_plus = 0."""
-    return apply_flip(m, boundary(params, m, z), raising=True)
+    _, boxes, sign = _class_word(params, m, z)
+    return _step(m, boxes, sign, raising=True)
 
 
 def crystal_remove(params: Params, m: Multipartition, z: ZClass) -> tuple[Multipartition, BoxRef] | None:
     """Remove the box at the lowering flip of the boundary word; None if h_minus = 0."""
-    return apply_flip(m, boundary(params, m, z), raising=False)
+    _, boxes, sign = _class_word(params, m, z)
+    return _step(m, boxes, sign, raising=False)
 
 
-def apply_flip(m: Multipartition, b: ZBoundary, raising: bool) -> tuple[Multipartition, BoxRef] | None:
-    """Apply the raising (box-adding) or lowering (box-removing) flip of
-    m's boundary b; None when the word has no such flip."""
-    step = e_tilde(b.sign) if raising else f_tilde(b.sign)
-    if step is None:
+def _step(m: Multipartition, boxes: tuple, sign: str, raising: bool) -> tuple[Multipartition, BoxRef] | None:
+    """Add the box at the raising flip of one class's word, or remove the
+    box at its lowering flip; None when the word has no such flip."""
+    i = _flip_at(sign, raising)
+    if i < 0:
         return None
-    box = b.boxes[step[1] - 1]
+    box = boxes[i]
     return (m.add_box(box) if raising else m.remove_box(box)), box
 
 
 def kgroup_induction(params: Params, m: Multipartition, z: ZClass) -> list[Multipartition]:
     """All single additions of an addable z-box, by increasing d-value."""
-    b = boundary(params, m, z)
-    return [m.add_box(box) for box, sym in zip(b.boxes, b.sign) if sym == PLUS]
+    _, boxes, sign = _class_word(params, m, z)
+    return [m.add_box(box) for box, sym in zip(boxes, sign) if sym == PLUS]
 
 
 def kgroup_restriction(params: Params, m: Multipartition, z: ZClass) -> list[Multipartition]:
     """All single removals of a removable z-box, by increasing d-value."""
-    b = boundary(params, m, z)
-    return [m.remove_box(box) for box, sym in zip(b.boxes, b.sign) if sym == MINUS]
+    _, boxes, sign = _class_word(params, m, z)
+    return [m.remove_box(box) for box, sym in zip(boxes, sign) if sym == MINUS]
 
 
 # --- dominant weight realization ---------------------------------------
@@ -308,10 +310,10 @@ def _gl_step(weight, i: int, p: int, raising: bool) -> tuple[int, ...] | None:
     w = check_dominant_weight(weight)
     _check_characteristic(p)
     positions, sign = _gl_word(w, i, p)
-    step = e_tilde(sign) if raising else f_tilde(sign)
-    if step is None:
+    k = _flip_at(sign, raising)
+    if k < 0:
         return None
-    j = positions[step[1] - 1]
+    j = positions[k]
     changed = list(w)
     changed[j - 1] += 1 if raising else -1
     for a, b in zip(changed, changed[1:]):

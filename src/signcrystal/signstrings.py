@@ -77,8 +77,7 @@ def e_tilde(t: str) -> tuple[str, int] | None:
 
     Returns the new word together with the 1-based flip position.
     """
-    r = reduced_form(t)
-    i = r.rfind(PLUS)
+    i = _flip_at(check_sign_string(t), raising=True)
     if i < 0:
         return None
     return t[:i] + MINUS + t[i + 1:], i + 1
@@ -86,11 +85,19 @@ def e_tilde(t: str) -> tuple[str, int] | None:
 
 def f_tilde(t: str) -> tuple[str, int] | None:
     """Flip the leftmost surviving '-' to '+'; None when none survives."""
-    r = reduced_form(t)
-    i = r.find(MINUS)
+    i = _flip_at(check_sign_string(t), raising=False)
     if i < 0:
         return None
     return t[:i] + PLUS + t[i + 1:], i + 1
+
+
+def _flip_at(t: str, raising: bool) -> int:
+    """0-based position of the raising flip (the rightmost '+' that survives
+    reduction) or of the lowering flip (the leftmost surviving '-'), or -1
+    when the word has none; `t` must already be over '+'/'-'."""
+    if raising:
+        return _reduce(t).rfind(PLUS) if PLUS in t else -1
+    return _reduce(t).find(MINUS) if MINUS in t else -1
 
 
 def suffix_h_minus(t: str, k: int) -> int:

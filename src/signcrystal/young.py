@@ -64,16 +64,6 @@ def corners(p: Partition) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]
     return addable, removable
 
 
-def removable_corners(p: Partition) -> list[tuple[int, int]]:
-    """(row, col) of boxes whose removal leaves a diagram, by row."""
-    return corners(p)[1]
-
-
-def addable_corners(p: Partition) -> list[tuple[int, int]]:
-    """(row, col) of positions whose addition leaves a diagram, by row."""
-    return corners(p)[0]
-
-
 @dataclass(frozen=True, slots=True)
 class Multipartition:
     """An ell-tuple of partitions.
@@ -82,7 +72,7 @@ class Multipartition:
     component.  `add_box`, `remove_box` and `multipartitions_of` build
     their results through `_from_canonical`, which skips that check: the
     rows they produce are canonical by construction.  The rows are the
-    only state: size and corners are computed from them on each read.
+    only state: the size is computed from them on each read.
     """
 
     components: tuple[Partition, ...]
@@ -122,22 +112,6 @@ class Multipartition:
     def size(self) -> int:
         return sum(sum(c) for c in self.components)
 
-    @property
-    def addable_boxes(self) -> tuple[BoxRef, ...]:
-        return tuple(
-            BoxRef(ci, row, col)
-            for ci, part in enumerate(self.components)
-            for row, col in addable_corners(part)
-        )
-
-    @property
-    def removable_boxes(self) -> tuple[BoxRef, ...]:
-        return tuple(
-            BoxRef(ci, row, col)
-            for ci, part in enumerate(self.components)
-            for row, col in removable_corners(part)
-        )
-
     def add_box(self, box: BoxRef) -> "Multipartition":
         part = self._component(box.comp)
         j = box.row - 1
@@ -162,9 +136,6 @@ class Multipartition:
     def _replace_component(self, ci: int, part: Partition) -> "Multipartition":
         comps = self.components
         return Multipartition._from_canonical(comps[:ci] + (part,) + comps[ci + 1:])
-
-    def sort_key(self) -> tuple:
-        return (self.size, self.components)
 
     def __str__(self) -> str:
         return "|".join("(" + ",".join(map(str, c)) + ")" for c in self.components)

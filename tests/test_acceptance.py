@@ -234,7 +234,7 @@ def test_c10_graph_structure_and_determinism():
             paths_ok = False
         chains = string_decomposition(first, z)
         covered = [node for chain in chains for node in chain]
-        if sorted(covered, key=lambda m: m.sort_key()) != list(first.nodes):
+        if sorted(covered, key=lambda m: (m.size, m.components)) != list(first.nodes):
             paths_ok = False
         if len(covered) != len(set(covered)):
             paths_ok = False

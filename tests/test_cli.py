@@ -258,6 +258,13 @@ class TestDepthSupport:
         assert code == 4
         assert data["error"]["code"] == "RESOURCE_CEILING"
 
+    def test_depth_mismatched_label_before_ceiling(self, capsys):
+        # the component count is checked before the size ceiling: exit 2, not 4
+        code, data = run_json(capsys, "depth", "--params", PARAMS_HALF, "--mp", "[[2000001],[]]")
+        assert code == 2
+        assert data["error"]["code"] == "VALIDATION"
+        assert "multipartition has 2 components, parameters expect 1" in data["error"]["message"]
+
     def test_support_finite_e(self, capsys):
         code, data = run_json(capsys, "support", "--params", PARAMS_HALF, "--mp", "[[1,1]]")
         assert code == 0

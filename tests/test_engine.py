@@ -122,8 +122,8 @@ class TestDepth:
         assert set(table_sizes) == {50}
 
     def test_reads_merged_words_not_boundary_objects(self, monkeypatch):
-        # the walk reads _merge's words itself: no class boundary, no flip
-        # helper; the depths are the ones the boundary-table walk gave
+        # the walk reads _merge's words itself: no class boundary record;
+        # the depths are the ones the boundary-table walk gave
         forbid_boundary_objects(monkeypatch)
         p = Params(3, Fraction(1, 3), (0, 1, 2))
         assert depth(p, Multipartition(((3, 1), (2,), (1, 1)))) == 8
@@ -163,15 +163,12 @@ class TestDepth:
 
 
 def forbid_boundary_objects(monkeypatch):
-    """Make every class-boundary path raise: the boundary table, its
-    ZBoundary records and the flip helper that reads them."""
+    """Make the class-boundary records raise: the graph and the walk take
+    the flip of _merge's words themselves."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("build_graph and depth read _merge's words")
 
-    for module in (realizations, engine):
-        monkeypatch.setattr(module, "_boundaries", forbidden)
-        monkeypatch.setattr(module, "apply_flip", forbidden)
     monkeypatch.setattr(realizations, "ZBoundary", forbidden)
 
 
@@ -244,7 +241,8 @@ class TestGraph:
     def test_edges_in_source_then_class_order(self, kappa, charges):
         # graph_to_json writes edges in this order and nothing sorts them
         g = build_graph(Params(len(charges), kappa, charges), 4)
-        keys = [(g.nodes[e.source].sort_key(), e.z) for e in g.edges]
+        sources = [g.nodes[e.source] for e in g.edges]
+        keys = [((m.size, m.components), e.z) for m, e in zip(sources, g.edges)]
         assert g.edges and keys == sorted(keys)
 
     @pytest.mark.parametrize("kappa", [Fraction(1, 3), Fraction(-2, 5), IRRATIONAL])
@@ -339,8 +337,8 @@ class TestGraph:
                 assert simple(g) == [edge for edge in expected if edge[2] == z]
 
     def test_reads_merged_words_not_boundary_objects(self, monkeypatch):
-        # build_graph reads _merge's words itself: no class boundary, no
-        # flip helper; the bytes are the pinned ones of the boundary build
+        # build_graph reads _merge's words itself: no class boundary record;
+        # the bytes are the pinned ones of the boundary build
         forbid_boundary_objects(monkeypatch)
         g = build_graph(Params(2, Fraction(1, 3), (0, 1)), 5)
         assert hashlib.sha256(json.dumps(graph_to_json(g)).encode()).hexdigest() == (
@@ -409,7 +407,7 @@ class TestStringDecomposition:
         for z in (ZClass("residue", 0), ZClass("residue", 1)):
             chains = string_decomposition(g, z)
             seen = [node for chain in chains for node in chain]
-            assert sorted(seen, key=lambda m: m.sort_key()) == list(g.nodes)
+            assert sorted(seen, key=lambda m: (m.size, m.components)) == list(g.nodes)
             assert len(seen) == len(set(seen))
 
     def test_weights_step_by_two(self):

@@ -7,7 +7,7 @@ from math import isqrt
 import pytest
 
 import oracles
-from signcrystal.engine import build_graph, depth
+from signcrystal.engine import build_graph, depth, verify
 from signcrystal.errors import (
     DegenerateClassError,
     DTieError,
@@ -34,6 +34,7 @@ from signcrystal.realizations import (
 from signcrystal import realizations
 from signcrystal.signstrings import e_tilde, f_tilde, weight
 from signcrystal.young import BoxRef, Multipartition, multipartitions_up_to
+from test_young import corner_boxes
 
 HALF = Fraction(1, 2)
 P_HALF = Params(1, HALF, (0,))
@@ -128,18 +129,18 @@ class TestBoundary:
             for order in (labels, labels[::-1]):
                 shared = {}
                 for m in order:
-                    table = realizations._boundaries(p, m, shared, None)
+                    merged = realizations._merge(p, m, shared, None)
                     fresh = boundaries(p, m)
-                    assert table == fresh and list(table) == list(fresh)
-                    assert [(z.kind, z.value) for z in table] == oracles.oracle_classes(
+                    assert merged == [(z.value, b.boxes, b.sign) for z, b in fresh.items()]
+                    assert [(z.kind, z.value) for z in fresh] == oracles.oracle_classes(
                         kappa, p.charges, m.components
                     )
-                    for z, b in table.items():
+                    for z, (_, boxes, sign) in zip(fresh, merged):
                         expected = oracles.oracle_boundary(
                             kappa, p.ell, p.charges, m.components, (z.kind, z.value)
                         )
-                        assert [tuple(box) for box in b.boxes] == [box for box, _ in expected]
-                        assert b.sign == oracles.oracle_sign(expected)
+                        assert [tuple(box) for box in boxes] == [box for box, _ in expected]
+                        assert sign == oracles.oracle_sign(expected)
                 pairs = {(c, part) for m in labels for c, part in enumerate(m.components)}
                 assert len(shared) == len(pairs)
 
@@ -220,7 +221,7 @@ class TestClassRepresentative:
             for m in multipartitions_up_to(p.ell, 5):
                 for z in sorted(boundaries(p, m)):
                     rep = m
-                    for box in sorted(m.removable_boxes, key=lambda b: (b.comp, -b.row)):
+                    for box in sorted(corner_boxes(m)[1], key=lambda b: (b.comp, -b.row)):
                         if oracles.oracle_in_class(kappa, p.charges, box, (z.kind, z.value)):
                             rep = rep.remove_box(box)
                     assert class_representative(p, m, z) == rep
@@ -240,13 +241,13 @@ class TestClassMember:
 
     def test_builds_one_boundary(self, monkeypatch):
         calls = []
-        kernel = realizations._boundaries
+        kernel = realizations._merge
 
         def counting(*args):
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(realizations, "_boundaries", counting)
+        monkeypatch.setattr(realizations, "_merge", counting)
         assert class_member(P_HALF, ROW2, RES1, "--") == Multipartition(((2, 1),))
         assert len(calls) == 1
 
@@ -332,11 +333,46 @@ class TestCrystalOperators:
                         assert got[0] == class_member(p, m, z, down[0])
 
 
+class TestNoBoundaryRecords:
+    def test_calls_and_suites_read_merged_words(self, monkeypatch):
+        # only boundary and boundaries pack ZBoundary records: the operators,
+        # the induction/restriction lists, the class calls and the two
+        # boundary suites give the same values with ZBoundary unusable
+        cases = []
+        for p in small_param_sets():
+            if p.is_rational:
+                classes = [ZClass("residue", r) for r in range(p.e)]
+            else:
+                classes = [ZClass("content", c) for c in range(-5, 6)]
+            for m in multipartitions_up_to(p.ell, 4):
+                for z in classes:
+                    for op in (crystal_add, crystal_remove, kgroup_induction, kgroup_restriction,
+                               class_representative):
+                        cases.append(partial(op, p, m, z))
+                    cases.append(partial(class_member, p, m, z, boundary(p, m, z).sign[::-1]))
+        suites = [
+            partial(verify, "boundary_invariance", params=Params(2, Fraction(1, 3), (0, 1)), max_boxes=5),
+            partial(verify, "realization_consistency", params=Params(3, IRRATIONAL, (0, 1, 2)), max_boxes=5),
+        ]
+        expected = [case() for case in cases]
+        reports = [suite() for suite in suites]
+        assert [(r.passed, r.checked) for r in reports] == [(True, 284), (True, 992)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("only boundary and boundaries build ZBoundary")
+
+        monkeypatch.setattr(realizations, "ZBoundary", forbidden)
+        assert [case() for case in cases] == expected
+        assert [suite() for suite in suites] == reports
+        with pytest.raises(AssertionError, match="only boundary"):
+            boundary(P_HALF, ROW2, RES1)
+
+
 class TestBoundaryStability:
     def test_adding_a_class_box_fixes_its_boundary(self):
         for p in small_param_sets():
             for m in multipartitions_up_to(p.ell, 5):
-                for x in m.addable_boxes:
+                for x in corner_boxes(m)[0]:
                     cont = oracles.oracle_content(p.charges, x)
                     z = ZClass("residue", cont % p.e) if p.is_rational else ZClass("content", cont)
                     before = boundary(p, m, z)
@@ -351,7 +387,7 @@ class TestBoundaryStability:
             if p.is_rational and p.e == 2:
                 continue  # every class is within 1 of every other
             for m in multipartitions_up_to(p.ell, 5):
-                for x in m.addable_boxes:
+                for x in corner_boxes(m)[0]:
                     cx = oracles.oracle_content(p.charges, x)
                     grown = m.add_box(x)
                     labels = set(boundaries(p, m)) | set(boundaries(p, grown))
@@ -427,7 +463,7 @@ class TestDominantWeights:
 
     def test_dominance_guard(self, monkeypatch):
         # force a flip at a position the reduction would never choose
-        monkeypatch.setattr(realizations, "e_tilde", lambda sign: (sign, 2))
+        monkeypatch.setattr(realizations, "_flip_at", lambda sign, raising: 1)
         with pytest.raises(DegenerateClassError):
             gl_crystal_add((2, 1), 1, 3)
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 import oracles
 from signcrystal.errors import ValidationError
 from signcrystal.signstrings import (
+    _flip_at,
     e_tilde,
     f_tilde,
     h_minus,
@@ -115,6 +116,15 @@ class TestOperators:
 
     def test_lower_absent(self):
         assert f_tilde("++") is None
+
+    def test_flips_match_oracle(self):
+        # the one flip rule, both directions, against the rewriting oracle
+        for t in all_words_up_to(12):
+            up, down = oracles.raise_word(t), oracles.lower_word(t)
+            assert e_tilde(t) == up
+            assert f_tilde(t) == down
+            assert _flip_at(t, True) == (-1 if up is None else up[1] - 1)
+            assert _flip_at(t, False) == (-1 if down is None else down[1] - 1)
 
     def test_axioms_exhaustive(self):
         for t in all_words_up_to(9):

@@ -8,13 +8,22 @@ from signcrystal.errors import ValidationError
 from signcrystal.young import (
     BoxRef,
     Multipartition,
-    addable_corners,
     check_partition,
+    corners,
     multipartitions_of,
     multipartitions_up_to,
     partitions_of,
-    removable_corners,
 )
+
+
+def corner_boxes(m):
+    """(addable, removable) boxes of m, component by component, from `corners`."""
+    found = [], []
+    for comp, part in enumerate(m.components):
+        for boxes, cells in zip(found, corners(part)):
+            boxes.extend(BoxRef(comp, row, col) for row, col in cells)
+    return found
+
 
 partition_lists = st.lists(st.integers(min_value=1, max_value=9), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -36,20 +45,19 @@ class TestPartitionValidation:
 
 class TestCorners:
     def test_removable(self):
-        assert removable_corners((3, 1)) == [(1, 3), (2, 1)]
-        assert removable_corners(()) == []
-        assert removable_corners((2, 2)) == [(2, 2)]
+        assert corners((3, 1))[1] == [(1, 3), (2, 1)]
+        assert corners(())[1] == []
+        assert corners((2, 2))[1] == [(2, 2)]
 
     def test_addable(self):
-        assert addable_corners((3, 1)) == [(1, 4), (2, 2), (3, 1)]
-        assert addable_corners(()) == [(1, 1)]
-        assert addable_corners((2, 2)) == [(1, 3), (3, 1)]
+        assert corners((3, 1))[0] == [(1, 4), (2, 2), (3, 1)]
+        assert corners(())[0] == [(1, 1)]
+        assert corners((2, 2))[0] == [(1, 3), (3, 1)]
 
     def test_contents_distinct_and_interleaved(self):
         for n in range(11):
             for p in partitions_of(n):
-                removable = removable_corners(p)
-                addable = addable_corners(p)
+                addable, removable = corners(p)
                 rem_contents = [c - r for r, c in removable]
                 add_contents = [c - r for r, c in addable]
                 assert len(set(rem_contents)) == len(rem_contents)
@@ -66,7 +74,7 @@ class TestCorners:
     def test_subset_removal_valid(self):
         for n in range(9):
             for p in partitions_of(n):
-                removable = removable_corners(p)
+                removable = corners(p)[1]
                 for take in range(len(removable) + 1):
                     for subset in itertools.combinations(removable, take):
                         rows = list(p)
@@ -105,13 +113,13 @@ class TestMultipartition:
         for n in range(9):
             for p in partitions_of(n):
                 m = Multipartition((p,))
-                addable, removable = addable_corners(p), removable_corners(p)
+                addable, removable = corners(p)
                 first = p[0] if p else 0
                 for row in range(1, len(p) + 3):
                     for col in range(1, first + 3):
                         box = BoxRef(0, row, col)
-                        for step, corners in ((m.add_box, addable), (m.remove_box, removable)):
-                            if (row, col) in corners:
+                        for step, cells in ((m.add_box, addable), (m.remove_box, removable)):
+                            if (row, col) in cells:
                                 step(box)
                             else:
                                 with pytest.raises(ValidationError):
@@ -126,17 +134,19 @@ class TestMultipartition:
         for ell in (1, 2):
             for m in multipartitions_up_to(ell, 6):
                 same(m)
-                for box in m.addable_boxes:
+                addable, removable = corner_boxes(m)
+                for box in addable:
                     same(m.add_box(box))
-                for box in m.removable_boxes:
+                for box in removable:
                     same(m.remove_box(box))
 
     def test_roundtrip_exhaustive(self):
         for ell in (1, 2):
             for m in multipartitions_up_to(ell, 6):
-                for box in m.addable_boxes:
+                addable, removable = corner_boxes(m)
+                for box in addable:
                     assert m.add_box(box).remove_box(box) == m
-                for box in m.removable_boxes:
+                for box in removable:
                     assert m.remove_box(box).add_box(box) == m
 
     def test_size_and_boxes(self):
@@ -180,7 +190,7 @@ class TestMultipartition:
             *multipartitions_of(2, 3),
         ]
         for m in made:
-            assert all((m.size, m.addable_boxes, m.removable_boxes))
+            assert all((m.size, *corner_boxes(m)))
             assert not hasattr(m, "__dict__")
 
     @given(st.lists(partition_lists, min_size=1, max_size=3))
