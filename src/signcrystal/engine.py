@@ -183,7 +183,6 @@ def build_graph(
     index = {mp.components: k for k, mp in enumerate(nodes)}
 
     # the nodes of size max_boxes come last and take no box-adding edge
-    kind = "residue" if params.is_rational else "content"
     zs: dict[int, ZClass] = {}
     corner_table: dict = {}
     edges = []
@@ -194,7 +193,7 @@ def build_graph(
             if i >= 0:
                 z = zs.get(value)
                 if z is None:
-                    z = zs[value] = ZClass(kind, value)
+                    z = zs[value] = ZClass(params.class_kind, value)
                 box = boxes[i]
                 edges.append(GraphEdge(k, index[mp.add_box(box).components], z, box))
     return CrystalGraph(params, max_boxes, tuple(nodes), tuple(edges), allowed)
@@ -390,7 +389,7 @@ def _verify_boundary_invariance(
 ):
     # each check merges a boundary over all of the label's corners, so a
     # label costs its checks times its corners against the ceiling
-    kind = "residue" if params.is_rational else "content"
+    kind = params.class_kind
     checked = work = 0
     corner_table: dict = {}
     for m in multipartitions_up_to(params.ell, max_boxes):
@@ -425,7 +424,7 @@ def _verify_realization_consistency(
     from . import naive
 
     kappa = params.kappa if params.is_rational else None
-    kind = "residue" if params.is_rational else "content"
+    kind = params.class_kind
     checked = 0
     corner_table: dict = {}
     for m in _labels_up_to("realization_consistency", params.ell, max_boxes, ceiling):

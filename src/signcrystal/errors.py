@@ -1,8 +1,8 @@
 """Exception hierarchy shared by the library and the CLI.
 
-Each error carries a short machine-readable code and an optional location
-hint; the CLI maps the classes to process exit codes (validation 2,
-invariant violation 3, resource ceiling 4).
+Each error class carries a short machine-readable code, and each error an
+optional location hint; the CLI maps the classes to process exit codes
+(validation 2, invariant violation 3, resource ceiling 4).
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ DEFAULT_NODE_CEILING = 2_000_000
 
 class CrystalError(Exception):
 
-    default_code = "ERROR"
+    code = "ERROR"
     exit_code = 1
 
-    def __init__(self, message: str, *, code: str | None = None, location: str | None = None):
+    def __init__(self, message: str, *, location: str | None = None):
         super().__init__(message)
         self.message = message
-        self.code = code or type(self).default_code
         self.location = location
 
     def to_json(self) -> dict:
@@ -33,31 +32,31 @@ class CrystalError(Exception):
 class ValidationError(CrystalError):
     """Malformed input; never raised once values reach the core."""
 
-    default_code = "VALIDATION"
+    code = "VALIDATION"
     exit_code = 2
 
 
 class InvariantViolationError(CrystalError):
     """An internal consistency guarantee failed; indicates corrupt parameters."""
 
-    default_code = "INVARIANT"
+    code = "INVARIANT"
     exit_code = 3
 
 
 class DTieError(InvariantViolationError):
     """Two distinct boundary boxes share a d-value."""
 
-    default_code = "D_TIE"
+    code = "D_TIE"
 
 
 class DegenerateClassError(InvariantViolationError):
     """A weight flip left the strictly-dominant range."""
 
-    default_code = "DEGENERATE_CLASS"
+    code = "DEGENERATE_CLASS"
 
 
 class ResourceCeilingError(CrystalError):
     """A requested computation exceeds the configured resource ceiling."""
 
-    default_code = "RESOURCE_CEILING"
+    code = "RESOURCE_CEILING"
     exit_code = 4

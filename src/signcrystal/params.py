@@ -94,17 +94,22 @@ class Params:
     def charge_sum(self) -> int:
         return sum(self.charges)
 
+    @property
+    def class_kind(self) -> str:
+        """The ZClass kind: "residue" (content mod e) for rational kappa, else "content"."""
+        return "residue" if self.is_rational else "content"
+
     def coerce_class(self, z: ZClass) -> ZClass:
         """Check the class label matches the mode; normalize residues."""
         if not isinstance(z, ZClass):
             raise ValidationError(f"expected a ZClass, got {type(z).__name__}")
-        if self.is_rational:
-            if z.kind != "residue":
-                raise ValidationError("rational kappa indexes classes by residue, not content")
-            return ZClass("residue", z.value % self.kappa.denominator)
-        if z.kind != "content":
-            raise ValidationError("irrational kappa indexes classes by exact content")
-        return z
+        if z.kind != self.class_kind:
+            raise ValidationError(
+                "rational kappa indexes classes by residue, not content"
+                if self.is_rational
+                else "irrational kappa indexes classes by exact content"
+            )
+        return ZClass("residue", z.value % self.e) if self.is_rational else z
 
 
 def hecke_parameters(params: Params) -> tuple[complex, tuple[complex, ...]]:

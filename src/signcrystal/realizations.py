@@ -69,33 +69,31 @@ def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
     d(y) - d(x) itself, so two equal adjacent keys are two boxes with one
     d-value: a DTieError, unreachable for valid parameters.
     """
-    kind = "residue" if params.is_rational else "content"
     table = {}
     for value, boxes, sign in _merge(params, m, {}, None):
-        z = ZClass(kind, value)
+        z = ZClass(params.class_kind, value)
         table[z] = ZBoundary(z, boxes, sign)
     return table
 
 
-def _corners(
-    comp: int, part: Partition, charge: int, ell: int, total: int, num: int | None, den: int | None
-) -> list:
+def _corners(params: Params, comp: int, rows: Partition) -> list:
     """(d-key, class value, box, symbol) for each addable, then each
-    removable, box of component `comp` with rows `part`; kappa = num/den,
-    and den is None when kappa is irrational."""
-    addable, removable = corners(part)
-    found, make_box = [], BoxRef._make
+    removable, box of component `comp` with rows `rows`: e * d and cont
+    mod e for kappa = a/e, and for irrational kappa the same formula with
+    a = 0 and no modulus, so -comp and cont."""
+    charge, den = params.charges[comp], params.e
     if den is None:
-        for sym, boxes in ((PLUS, addable), (MINUS, removable)):
-            for row, col in boxes:
-                cont = charge + col - row
-                found.append((-comp, cont, make_box((comp, row, col)), sym))
+        scale, shift = 0, comp
     else:
-        scale, shift = num * ell, num * total + den * comp
-        for sym, boxes in ((PLUS, addable), (MINUS, removable)):
-            for row, col in boxes:
-                cont = charge + col - row
-                found.append((scale * cont - shift, cont % den, make_box((comp, row, col)), sym))
+        num = params.kappa.numerator
+        scale, shift = num * params.ell, num * params.charge_sum + den * comp
+    addable, removable = corners(rows)
+    found, make_box = [], BoxRef._make
+    for sym, boxes in ((PLUS, addable), (MINUS, removable)):
+        for row, col in boxes:
+            cont = charge + col - row
+            value = cont if den is None else cont % den
+            found.append((scale * cont - shift, value, make_box((comp, row, col)), sym))
     return found
 
 
@@ -106,16 +104,12 @@ def _merge(params: Params, m: Multipartition, corner_table: dict, only) -> list:
     by calls with the same params; `only`, when not None, holds the class
     values (residues, or contents for irrational kappa) to build."""
     _check_pair(params, m)
-    ell, charges, total = params.ell, params.charges, params.charge_sum
-    num = den = None
-    if params.is_rational:
-        num, den = params.kappa.numerator, params.kappa.denominator
     found: dict[int, list] = defaultdict(list)
     for comp, part in enumerate(m.components):
         key = (comp, part)
         own = corner_table.get(key)
         if own is None:
-            own = corner_table[key] = _corners(comp, part, charges[comp], ell, total, num, den)
+            own = corner_table[key] = _corners(params, comp, part)
         for corner in own:
             if only is None or corner[1] in only:
                 found[corner[1]].append(corner)
@@ -126,7 +120,7 @@ def _merge(params: Params, m: Multipartition, corner_table: dict, only) -> list:
         keys, _, boxes, signs = zip(*entries)
         for k in range(1, len(keys)):
             if keys[k - 1] == keys[k]:
-                z = ZClass("content" if den is None else "residue", value)
+                z = ZClass(params.class_kind, value)
                 raise DTieError(
                     f"boxes {tuple(boxes[k - 1])} and {tuple(boxes[k])} share a d-value in class {z}"
                 )

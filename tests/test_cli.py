@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from signcrystal import cli, engine
+from signcrystal import cli, engine, errors
 from signcrystal.engine import VerifyReport
 
 PARAMS_HALF = '{"ell":1,"kappa":{"num":1,"den":2},"charges":[0]}'
@@ -509,6 +509,22 @@ class TestErrors:
             "boundary", "--params", PARAMS_HALF, "--mp", "[[1]]", "--class", '{"content":0}',
         )
         assert code == 2
+
+    def test_each_class_code_and_exit_code(self):
+        # the code is the class's own; no caller can override it
+        for cls, code, exit_code in (
+            (errors.ValidationError, "VALIDATION", 2),
+            (errors.InvariantViolationError, "INVARIANT", 3),
+            (errors.DTieError, "D_TIE", 3),
+            (errors.DegenerateClassError, "DEGENERATE_CLASS", 3),
+            (errors.ResourceCeilingError, "RESOURCE_CEILING", 4),
+        ):
+            assert cls("m").to_json() == {"error": {"code": code, "message": "m"}}
+            err = cls("m", location="params")
+            assert err.to_json() == {"error": {"code": code, "message": "m", "location": "params"}}
+            assert err.exit_code == exit_code
+        with pytest.raises(TypeError):
+            errors.ValidationError("m", code="OTHER")
 
 
 # graph's --z and verify's --max-boxes show that a value given in one call

@@ -30,10 +30,9 @@ def kernel_class(kappa, c) -> ZClass:
 def kernel_corners(p: Params, m: Multipartition) -> dict:
     """box -> (d-key, class value) for every corner of m, from the
     production kernel."""
-    num, den = (p.kappa.numerator, p.e) if p.is_rational else (None, None)
     found = {}
     for comp, part in enumerate(m.components):
-        corners = realizations._corners(comp, part, p.charges[comp], p.ell, p.charge_sum, num, den)
+        corners = realizations._corners(p, comp, part)
         for key, value, box, _ in corners:
             found[box] = (key, value)
     return found

@@ -104,12 +104,9 @@ class TestBoundary:
         # mod e, or the content itself
         for p in wide_param_sets():
             kappa = p.kappa if p.is_rational else None
-            num, den = (kappa.numerator, kappa.denominator) if p.is_rational else (None, None)
             labels = multipartitions_up_to(p.ell, 5)
             for comp, part in {pair for m in labels for pair in enumerate(m.components)}:
-                found = realizations._corners(
-                    comp, part, p.charges[comp], p.ell, p.charge_sum, num, den
-                )
+                found = realizations._corners(p, comp, part)
                 expected = [((comp, r, c), "+") for r, c in oracles.oracle_addable(part)]
                 expected += [((comp, r, c), "-") for r, c in oracles.oracle_removable(part)]
                 assert sorted((tuple(box), sym) for _, _, box, sym in found) == sorted(expected)
@@ -165,6 +162,25 @@ class TestBoundary:
     def test_wrong_class_kind(self):
         with pytest.raises(ValidationError):
             boundary(P_HALF, ROW2, ZClass("content", 0))
+
+    def test_class_kind_names_every_class(self):
+        # Params.class_kind is the one statement of the class-kind rule: the
+        # boundary keys, the graph's edge classes and coerce_class follow it
+        for p in wide_param_sets():
+            kind = p.class_kind
+            assert kind == ("residue" if p.is_rational else "content")
+            for m in multipartitions_up_to(p.ell, 4):
+                assert {z.kind for z in boundaries(p, m)} == {kind}
+            g = build_graph(p, 3)
+            assert {edge.z.kind for edge in g.edges} == {kind}
+            assert p.coerce_class(ZClass(kind, 1)).kind == kind
+            other, message = (
+                ("content", "rational kappa indexes classes by residue, not content")
+                if p.is_rational
+                else ("residue", "irrational kappa indexes classes by exact content")
+            )
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                p.coerce_class(ZClass(other, 1))
 
     def test_component_count_mismatch(self):
         with pytest.raises(ValidationError):
