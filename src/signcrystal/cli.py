@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import signstrings
-from .errors import CrystalError, ValidationError
+from .errors import DEFAULT_NODE_CEILING, CrystalError, ValidationError
 
 # bound by _bind_modules on the first command that runs on them, so a cold
 # command loads only what it runs
@@ -88,21 +88,16 @@ def _extract_sign_values(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     k = 0
     while k < len(argv):
         tok = argv[k]
-        handled = False
-        for flag, dest in _SIGN_FLAGS.items():
-            if tok == flag and k + 1 < len(argv) and _looks_like_word(argv[k + 1]):
-                words[dest] = argv[k + 1]
-                k += 2
-                handled = True
-                break
-            if tok.startswith(flag + "="):
-                words[dest] = tok[len(flag) + 1:]
-                k += 1
-                handled = True
-                break
-        if not handled:
-            remaining.append(tok)
+        k += 1
+        flag, eq, value = tok.partition("=")
+        dest = _SIGN_FLAGS.get(flag)
+        if dest is not None and eq:
+            words[dest] = value
+        elif dest is not None and k < len(argv) and _looks_like_word(argv[k]):
+            words[dest] = argv[k]
             k += 1
+        else:
+            remaining.append(tok)
     return remaining, words
 
 
@@ -131,26 +126,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, help="1-based suffix start for suffix-h")
 
     p = sub.add_parser("boundary", help="boundary of a multipartition in one class")
-    _add_params_flag(p)
-    _add_mp_flag(p)
-    _add_class_flag(p)
+    _add_class_flags(p)
 
     p = sub.add_parser("fock-op", help="box-adding/-removing crystal operator")
     p.add_argument("--op", required=True, choices=["add", "remove"])
-    _add_params_flag(p)
-    _add_mp_flag(p)
-    _add_class_flag(p)
+    _add_class_flags(p)
 
     p = sub.add_parser("kgroup", help="all single box additions/removals in one class")
     p.add_argument("--op", required=True, choices=["induction", "restriction"])
-    _add_params_flag(p)
-    _add_mp_flag(p)
-    _add_class_flag(p)
+    _add_class_flags(p)
 
     p = sub.add_parser("class-member", help="class element with a prescribed sign word")
-    _add_params_flag(p)
-    _add_mp_flag(p)
-    _add_class_flag(p)
+    _add_class_flags(p)
     p.add_argument("--string")
 
     p = sub.add_parser("gl-op", help="dominant-weight realization operations")
@@ -160,19 +147,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", required=True, type=int, help="0 or a prime")
 
     p = sub.add_parser("depth", help="box-removing depth of a label")
-    _add_params_flag(p)
-    _add_mp_flag(p)
+    _add_label_flags(p)
 
     p = sub.add_parser("support", help="support stratum of a label")
-    _add_params_flag(p)
-    _add_mp_flag(p)
+    _add_label_flags(p)
 
     p = sub.add_parser("graph", help="crystal graph over all small multipartitions")
     _add_params_flag(p)
     p.add_argument("--max-boxes", required=True, type=int)
     p.add_argument("--z", default="all", help="'all', a class object, or a list of classes")
     p.add_argument("--format", default="json", choices=["json", "dot"])
-    p.add_argument("--ceiling", type=int, help="node ceiling override")
+    p.add_argument("--ceiling", type=int, default=DEFAULT_NODE_CEILING, help="node ceiling override")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     # no choices list: engine.SUITES is the one list of suites, and an
@@ -201,11 +186,13 @@ def _add_params_flag(p, required: bool = True) -> None:
     p.add_argument("--params", required=required, help="inline JSON or a file path")
 
 
-def _add_mp_flag(p) -> None:
+def _add_label_flags(p) -> None:
+    _add_params_flag(p)
     p.add_argument("--mp", required=True, help="multipartition JSON")
 
 
-def _add_class_flag(p) -> None:
+def _add_class_flags(p) -> None:
+    _add_label_flags(p)
     p.add_argument("--class", dest="zclass", required=True, help="class JSON")
 
 
@@ -229,19 +216,21 @@ def _params_arg(args):
     return serialize.params_from_json(_load_json(text, "params"))
 
 
-def _mp_arg(args):
-    return serialize.mp_from_json(_load_json(args.mp, "mp"))
+def _label_args(args):
+    """(params, multipartition), read in that order."""
+    return _params_arg(args), serialize.mp_from_json(_load_json(args.mp, "mp"))
 
 
-def _class_arg(args, params):
-    return serialize.zclass_from_json(_load_json(args.zclass, "class"), params)
+def _class_args(args):
+    """(params, multipartition, class), read in that order."""
+    params, m = _label_args(args)
+    return params, m, serialize.zclass_from_json(_load_json(args.zclass, "class"), params)
 
 
-def _word_arg(args, attr: str = "string") -> str:
-    value = getattr(args, attr, None)
-    if value is None:
-        raise ValidationError(f"--{attr} is required for this command")
-    return value
+def _word_arg(args) -> str:
+    if args.string is None:
+        raise ValidationError("--string is required for this command")
+    return args.string
 
 
 def _cmd_reduce(args):
@@ -277,40 +266,28 @@ def _cmd_string_op(args):
 
 
 def _cmd_boundary(args):
-    params = _params_arg(args)
-    m = _mp_arg(args)
-    z = _class_arg(args, params)
-    return serialize.boundary_to_json(realizations.boundary(params, m, z))
+    return serialize.boundary_to_json(realizations.boundary(*_class_args(args)))
 
 
 def _cmd_fock_op(args):
-    params = _params_arg(args)
-    m = _mp_arg(args)
-    z = _class_arg(args, params)
     fn = realizations.crystal_add if args.op == "add" else realizations.crystal_remove
-    step = fn(params, m, z)
+    step = fn(*_class_args(args))
     if step is None:
         return {"result": None, "box": None}
     return {"result": step[0].to_lists(), "box": serialize.box_to_json(step[1])}
 
 
 def _cmd_kgroup(args):
-    params = _params_arg(args)
-    m = _mp_arg(args)
-    z = _class_arg(args, params)
     fn = (
         realizations.kgroup_induction
         if args.op == "induction"
         else realizations.kgroup_restriction
     )
-    return {"results": [mp.to_lists() for mp in fn(params, m, z)]}
+    return {"results": [mp.to_lists() for mp in fn(*_class_args(args))]}
 
 
 def _cmd_class_member(args):
-    params = _params_arg(args)
-    m = _mp_arg(args)
-    z = _class_arg(args, params)
-    member = realizations.class_member(params, m, z, _word_arg(args))
+    member = realizations.class_member(*_class_args(args), _word_arg(args))
     return {"result": member.to_lists()}
 
 
@@ -332,15 +309,11 @@ def _cmd_gl_op(args):
 
 
 def _cmd_depth(args):
-    params = _params_arg(args)
-    m = _mp_arg(args)
-    return {"depth": engine.depth(params, m)}
+    return {"depth": engine.depth(*_label_args(args))}
 
 
 def _cmd_support(args):
-    params = _params_arg(args)
-    m = _mp_arg(args)
-    return serialize.support_to_json(engine.support(params, m))
+    return serialize.support_to_json(engine.support(*_label_args(args)))
 
 
 def _cmd_graph(args):
@@ -355,8 +328,7 @@ def _cmd_graph(args):
                 "--z must be 'all', a class object, or a list of class objects", location="z"
             )
         classes = [serialize.zclass_from_json(item, params) for item in obj]
-    ceiling = args.ceiling if args.ceiling is not None else engine.DEFAULT_NODE_CEILING
-    graph = engine.build_graph(params, args.max_boxes, classes=classes, node_ceiling=ceiling)
+    graph = engine.build_graph(params, args.max_boxes, classes=classes, node_ceiling=args.ceiling)
     if args.format == "dot":
         return serialize.graph_to_dot(graph)
     return serialize.graph_to_json(graph)

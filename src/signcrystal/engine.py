@@ -373,17 +373,6 @@ def _verify_comb_lemma(n: int = 12, ceiling: int = DEFAULT_WORD_CEILING):
     return checked, None
 
 
-def _labels_up_to(suite: str, ell: int, max_boxes: int, ceiling: int):
-    """multipartitions_up_to, ending in ResourceCeilingError once more than
-    `ceiling` labels have been visited."""
-    for visited, m in enumerate(multipartitions_up_to(ell, max_boxes), 1):
-        if visited > ceiling:
-            raise ResourceCeilingError(
-                f"{suite} would visit more than {ceiling} labels; raise the ceiling to proceed"
-            )
-        yield m
-
-
 def _verify_boundary_invariance(
     params: Params, max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEILING
 ):
@@ -423,12 +412,23 @@ def _verify_realization_consistency(
 ):
     from . import naive
 
+    # naive scans all of the label's corners for each class, insertion-sorts
+    # the class and reduces its word pair by pair: a check costs the label's
+    # corners plus its class's box count squared against the ceiling
     kappa = params.kappa if params.is_rational else None
     kind = params.class_kind
-    checked = 0
+    checked = work = 0
     corner_table: dict = {}
-    for m in _labels_up_to("realization_consistency", params.ell, max_boxes, ceiling):
-        for value, boxes, sign in _merge(params, m, corner_table, None):
+    for m in multipartitions_up_to(params.ell, max_boxes):
+        merged = _merge(params, m, corner_table, None)
+        corners = sum(len(boxes) for _, boxes, _ in merged)
+        work += sum(corners + len(boxes) ** 2 for _, boxes, _ in merged)
+        if work > ceiling:
+            raise ResourceCeilingError(
+                f"realization_consistency would compare more than {ceiling} boundary entries; "
+                "raise the ceiling to proceed"
+            )
+        for value, boxes, sign in merged:
             zp = (kind, value)
             checked += 1
             for production, reference in (
@@ -494,8 +494,12 @@ def _verify_depth_irrational(max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEI
     params = Params(1, IRRATIONAL, (0,))
     memo: dict = {}
     checked = 0
-    for m in _labels_up_to("depth_irrational", 1, max_boxes, ceiling):
+    for m in multipartitions_up_to(1, max_boxes):
         checked += 1
+        if checked > ceiling:
+            raise ResourceCeilingError(
+                f"depth_irrational would visit more than {ceiling} labels; raise the ceiling to proceed"
+            )
         if depth(params, m, memo) != m.size:
             return checked, {"multipartition": m.to_lists()}
     return checked, None

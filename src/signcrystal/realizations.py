@@ -210,12 +210,8 @@ def check_dominant_weight(entries) -> tuple[int, ...]:
 
 
 def _check_characteristic(p: int) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 0 or (p != 0 and not _is_prime(p)):
         raise ValidationError(f"characteristic must be 0 or a prime, got {p!r}")
-    if p == 0:
-        return
-    if p == 1 or not _is_prime(p):
-        raise ValidationError(f"characteristic must be 0 or a prime, got {p}")
 
 
 # Miller-Rabin with the first 13 prime bases is exact below psi_13
@@ -249,22 +245,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _entry_symbol(value: int, i: int, p: int) -> str | None:
-    """'+' when the entry matches i, '-' when it matches i+1, else None."""
-    if p == 0:
-        if value == i:
-            return PLUS
-        if value == i + 1:
-            return MINUS
-        return None
-    r = value % p
-    if r == i % p:
-        return PLUS
-    if r == (i + 1) % p:
-        return MINUS
-    return None
-
-
 def gl_positions(weight, i: int, p: int) -> list[int]:
     """1-based indices whose entry matches i or i+1 (mod p, or exactly for p=0)."""
     w = check_dominant_weight(weight)
@@ -280,13 +260,14 @@ def gl_sign_string(weight, i: int, p: int) -> str:
 
 
 def _gl_word(w: tuple[int, ...], i: int, p: int) -> tuple[list[int], str]:
-    """Matching positions and their sign word, for an already checked w and p."""
+    """Matching positions and their sign word, for an already checked w and
+    p: an entry v is '+' when v - i is 0 and '-' when it is 1, mod p for p > 0."""
     positions, parts = [], []
     for j, v in enumerate(w, 1):
-        sym = _entry_symbol(v, i, p)
-        if sym is not None:
+        gap = v - i if p == 0 else (v - i) % p
+        if gap == 0 or gap == 1:
             positions.append(j)
-            parts.append(sym)
+            parts.append(PLUS if gap == 0 else MINUS)
     return positions, "".join(parts)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .errors import ValidationError
+from .errors import DEFAULT_NODE_CEILING, ResourceCeilingError, ValidationError
 
 PLUS = "+"
 MINUS = "-"
@@ -128,14 +128,24 @@ def plus_flips(t: str) -> list[tuple[int, str]]:
     Ascending position agrees with ascending succ_compare order of the
     flipped words.
     """
-    check_sign_string(t)
-    return [(i + 1, t[:i] + MINUS + t[i + 1:]) for i, s in enumerate(t) if s == PLUS]
+    return _flips(t, PLUS, MINUS)
 
 
 def minus_flips(t: str) -> list[tuple[int, str]]:
     """All single flips '-' -> '+', by ascending flip position."""
+    return _flips(t, MINUS, PLUS)
+
+
+def _flips(t: str, old: str, new: str) -> list[tuple[int, str]]:
+    # the flipped words hold len(t) symbols per `old` in t, all built at once
     check_sign_string(t)
-    return [(i + 1, t[:i] + PLUS + t[i + 1:]) for i, s in enumerate(t) if s == MINUS]
+    size = len(t) * t.count(old)
+    if size > DEFAULT_NODE_CEILING:
+        raise ResourceCeilingError(
+            f"flips of a word of length {len(t)} would write {size} symbols, "
+            f"above the ceiling {DEFAULT_NODE_CEILING}"
+        )
+    return [(i + 1, t[:i] + new + t[i + 1:]) for i, s in enumerate(t) if s == old]
 
 
 def iter_words(n: int) -> Iterator[str]:

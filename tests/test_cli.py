@@ -95,6 +95,14 @@ class TestStringOp:
             "flips": [{"index": 1, "string": "--+"}, {"index": 3, "string": "+--"}]
         }
 
+    @pytest.mark.parametrize("op, sym", [("plus-flips", "+"), ("minus-flips", "-")])
+    def test_flips_ceiling(self, capsys, op, sym):
+        code, data = run_json(capsys, "string-op", "--op", op, "--string", sym * 1414)
+        assert code == 0 and len(data["flips"]) == 1414
+        code, data = run_json(capsys, "string-op", "--op", op, "--string", sym * 1415)
+        assert code == 4
+        assert data["error"]["code"] == "RESOURCE_CEILING"
+
     def test_missing_k(self, capsys):
         code, data = run_json(capsys, "string-op", "--op", "suffix-h", "--string", "-")
         assert code == 2
@@ -478,6 +486,35 @@ class TestParamsCommand:
             code, data = run_json(capsys, "params", "--params", p)
             assert code == expected
         assert data["error"]["code"] == "RESOURCE_CEILING"
+
+
+# each label command with the flags it takes before --params; the class
+# commands also take --class
+LABEL_COMMANDS = {
+    "boundary": (),
+    "fock-op": ("--op", "add"),
+    "kgroup": ("--op", "induction"),
+    "class-member": (),
+    "depth": (),
+    "support": (),
+}
+CLASS_COMMANDS = {"boundary", "fock-op", "kgroup", "class-member"}
+
+
+class TestLabelReadOrder:
+    # params, then mp, then class, then --string: the first bad one is
+    # reported, and class-member's missing --string never is
+    @pytest.mark.parametrize("command", list(LABEL_COMMANDS))
+    def test_first_bad_flag_is_reported(self, capsys, command):
+        head = [command, *LABEL_COMMANDS[command]]
+        tail = ["--class", "{bad"] if command in CLASS_COMMANDS else []
+        code, data = run_json(capsys, *head, "--params", "{bad", "--mp", "{bad", *tail)
+        assert code == 2 and data["error"]["location"] == "params"
+        code, data = run_json(capsys, *head, "--params", PARAMS_HALF, "--mp", "{bad", *tail)
+        assert code == 2 and data["error"]["location"] == "mp"
+        if command in CLASS_COMMANDS:
+            code, data = run_json(capsys, *head, "--params", PARAMS_HALF, "--mp", "[[1]]", *tail)
+            assert code == 2 and data["error"]["location"] == "class"
 
 
 class TestErrors:

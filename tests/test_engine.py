@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -461,6 +462,23 @@ class TestVerify:
     def test_realization_consistency(self):
         p = Params(2, IRRATIONAL, (0, 1))
         assert verify("realization_consistency", params=p, max_boxes=4).passed
+
+    def test_realization_consistency_ceiling(self):
+        # a check costs the label's corners plus its class's box count
+        # squared: the empty label at ell 1 has one corner in one class
+        p = Params(1, Fraction(1, 2), (0,))
+        assert verify("realization_consistency", params=p, max_boxes=0, ceiling=2).checked == 1
+        with pytest.raises(ResourceCeilingError):
+            verify("realization_consistency", params=p, max_boxes=0, ceiling=1)
+
+    def test_realization_consistency_wide_labels_hit_the_ceiling(self):
+        # 301 labels, each with a class of about 300 boxes that the naive
+        # reference sorts and reduces in quadratic time
+        p = Params(300, IRRATIONAL, (0,) * 300)
+        start = time.perf_counter()
+        with pytest.raises(ResourceCeilingError):
+            verify("realization_consistency", params=p, max_boxes=1)
+        assert time.perf_counter() - start < 1.0
 
     def test_gl_realization(self):
         assert verify("gl_realization", n=3, p=3, entry_bound=5).passed

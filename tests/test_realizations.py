@@ -468,11 +468,12 @@ class TestDominantWeights:
     def test_matches_oracle_small(self):
         import itertools
 
-        for n in (1, 2, 3):
-            for w in itertools.combinations(range(5, -1, -1), n):
-                for p in (0, 2, 3):
-                    i_values = range(p) if p else range(-1, 6)
-                    for i in i_values:
+        # negative entries and i outside 0..p-1 exercise both the exact and
+        # the modular gap
+        for n in (1, 2, 3, 4):
+            for w in itertools.combinations(range(6, -4, -1), n):
+                for p in (0, 2, 3, 5, 7):
+                    for i in range(-4, 9):
                         assert (gl_positions(w, i, p), gl_sign_string(w, i, p)) == oracles.oracle_gl_sign(w, i, p)
                         assert gl_crystal_add(w, i, p) == oracles.oracle_gl_add(w, i, p)
                         assert gl_crystal_remove(w, i, p) == oracles.oracle_gl_remove(w, i, p)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from signcrystal.errors import ValidationError
+from signcrystal.errors import ResourceCeilingError, ValidationError
 from signcrystal.signstrings import (
     _flip_at,
     e_tilde,
@@ -200,6 +200,14 @@ class TestFlips:
 
     def test_minus_flips_empty(self):
         assert minus_flips("++") == []
+
+    @pytest.mark.parametrize("flips, sym", [(plus_flips, "+"), (minus_flips, "-")])
+    def test_ceiling(self, flips, sym):
+        # len(t) symbols per flip: 1414^2 = 1,999,396 is within the default
+        # ceiling, 1415^2 = 2,002,225 is not, and raises before building anything
+        assert [i for i, _ in flips(sym * 1414)] == list(range(1, 1415))
+        with pytest.raises(ResourceCeilingError):
+            flips(sym * 1415)
 
     def test_flip_order_matches_succ_exhaustive(self):
         for t in all_words_up_to(10):
