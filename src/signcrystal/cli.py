@@ -15,10 +15,6 @@ import sys
 from . import signstrings
 from .errors import DEFAULT_NODE_CEILING, CrystalError, ValidationError
 
-# bound by _bind_modules on the first command that runs on them, so a cold
-# command loads only what it runs
-engine = realizations = serialize = cyclotomic_c = hecke_parameters = None
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -30,8 +26,6 @@ class _Parser(argparse.ArgumentParser):
 # argv before parsing
 _SIGN_FLAGS = {"--string": "string", "--other": "other"}
 _SIGN_FLAG_COMMANDS = {"reduce", "string-op", "class-member"}
-_SIGN_WORD_COMMANDS = {"reduce", "string-op"}
-_ENGINE_COMMANDS = {"depth", "support", "graph", "verify"}
 
 
 def main(argv=None) -> int:
@@ -48,32 +42,13 @@ def main(argv=None) -> int:
             raise ValidationError("a command is required; see --help")
         for dest, value in words.items():
             setattr(args, dest, value)
-        _bind_modules(args.command)
-        result = _HANDLERS[args.command](args)
+        result = args.handler(args)
     except CrystalError as err:
         _emit(json.dumps(err.to_json(), sort_keys=True))
         return err.exit_code
     payload, code = result if isinstance(result, tuple) else (result, 0)
     _emit(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True))
     return code
-
-
-def _bind_modules(command: str) -> None:
-    # the sign-word commands run on signstrings alone, gl-op on realizations
-    # alone, the engine commands on engine as well as realizations and
-    # serialize; each import runs once per process, not once per request
-    global engine, realizations, serialize, cyclotomic_c, hecke_parameters
-    if command in _SIGN_WORD_COMMANDS:
-        return
-    if realizations is None:
-        from . import realizations
-    if command == "gl-op":
-        return
-    if serialize is None:
-        from . import serialize
-        from .params import cyclotomic_c, hecke_parameters
-    if engine is None and command in _ENGINE_COMMANDS:
-        from . import engine
 
 
 def _emit(text: str) -> None:
@@ -110,12 +85,16 @@ def _build_parser() -> _Parser:
     # built on the first main call, not at import, and reused after that:
     # parse_args leaves the parser unchanged and returns a fresh Namespace
     parser = _Parser(prog="signcrystal", description=__doc__)
+    # each subparser names its handler, and each handler imports the
+    # modules it runs, so a cold command loads only those
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("reduce", help="reduce a sign word and report its statistics")
+    p.set_defaults(handler=_cmd_reduce)
     p.add_argument("--string", help="word over '+' and '-'")
 
     p = sub.add_parser("string-op", help="apply a sign-word operation")
+    p.set_defaults(handler=_cmd_string_op)
     p.add_argument(
         "--op",
         required=True,
@@ -126,40 +105,49 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, help="1-based suffix start for suffix-h")
 
     p = sub.add_parser("boundary", help="boundary of a multipartition in one class")
+    p.set_defaults(handler=_cmd_boundary)
     _add_class_flags(p)
 
     p = sub.add_parser("fock-op", help="box-adding/-removing crystal operator")
+    p.set_defaults(handler=_cmd_fock_op)
     p.add_argument("--op", required=True, choices=["add", "remove"])
     _add_class_flags(p)
 
     p = sub.add_parser("kgroup", help="all single box additions/removals in one class")
+    p.set_defaults(handler=_cmd_kgroup)
     p.add_argument("--op", required=True, choices=["induction", "restriction"])
     _add_class_flags(p)
 
     p = sub.add_parser("class-member", help="class element with a prescribed sign word")
+    p.set_defaults(handler=_cmd_class_member)
     _add_class_flags(p)
     p.add_argument("--string")
 
     p = sub.add_parser("gl-op", help="dominant-weight realization operations")
+    p.set_defaults(handler=_cmd_gl_op)
     p.add_argument("--op", required=True, choices=["positions", "sign", "add", "remove"])
     p.add_argument("--weight", required=True, help="JSON list of strictly decreasing integers")
     p.add_argument("--i", required=True, type=int, help="class index")
     p.add_argument("--p", required=True, type=int, help="0 or a prime")
 
     p = sub.add_parser("depth", help="box-removing depth of a label")
+    p.set_defaults(handler=_cmd_depth)
     _add_label_flags(p)
 
     p = sub.add_parser("support", help="support stratum of a label")
+    p.set_defaults(handler=_cmd_support)
     _add_label_flags(p)
 
     p = sub.add_parser("graph", help="crystal graph over all small multipartitions")
+    p.set_defaults(handler=_cmd_graph)
     _add_params_flag(p)
     p.add_argument("--max-boxes", required=True, type=int)
     p.add_argument("--z", default="all", help="'all', a class object, or a list of classes")
     p.add_argument("--format", default="json", choices=["json", "dot"])
-    p.add_argument("--ceiling", type=int, default=DEFAULT_NODE_CEILING, help="node ceiling override")
+    p.add_argument("--ceiling", type=int, default=DEFAULT_NODE_CEILING, help="ceiling on nodes x ell")
 
     p = sub.add_parser("verify", help="run a named verification suite")
+    p.set_defaults(handler=_cmd_verify)
     # no choices list: engine.SUITES is the one list of suites, and an
     # unknown name is a ValidationError from engine.verify
     p.add_argument("--suite", required=True, help="suite name; an unknown one exits 2 and lists them")
@@ -177,6 +165,7 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("params", help="echo parameters with numeric conversions")
+    p.set_defaults(handler=_cmd_params)
     _add_params_flag(p)
 
     return parser
@@ -206,6 +195,8 @@ def _load_json(text: str, what: str):
 
 
 def _params_arg(args):
+    from . import serialize
+
     raw = text = args.params
     if not raw.lstrip().startswith("{"):
         try:
@@ -218,11 +209,15 @@ def _params_arg(args):
 
 def _label_args(args):
     """(params, multipartition), read in that order."""
+    from . import serialize
+
     return _params_arg(args), serialize.mp_from_json(_load_json(args.mp, "mp"))
 
 
 def _class_args(args):
     """(params, multipartition, class), read in that order."""
+    from . import serialize
+
     params, m = _label_args(args)
     return params, m, serialize.zclass_from_json(_load_json(args.zclass, "class"), params)
 
@@ -266,10 +261,14 @@ def _cmd_string_op(args):
 
 
 def _cmd_boundary(args):
+    from . import realizations, serialize
+
     return serialize.boundary_to_json(realizations.boundary(*_class_args(args)))
 
 
 def _cmd_fock_op(args):
+    from . import realizations, serialize
+
     fn = realizations.crystal_add if args.op == "add" else realizations.crystal_remove
     step = fn(*_class_args(args))
     if step is None:
@@ -278,6 +277,8 @@ def _cmd_fock_op(args):
 
 
 def _cmd_kgroup(args):
+    from . import realizations
+
     fn = (
         realizations.kgroup_induction
         if args.op == "induction"
@@ -287,15 +288,20 @@ def _cmd_kgroup(args):
 
 
 def _cmd_class_member(args):
+    from . import realizations
+
     member = realizations.class_member(*_class_args(args), _word_arg(args))
     return {"result": member.to_lists()}
 
 
 def _cmd_gl_op(args):
-    raw = _load_json(args.weight, "weight")
-    if not isinstance(raw, list):
+    from . import realizations
+
+    # each gl_* call checks the weight, then p; a JSON number would reach
+    # check_dominant_weight's tuple() and raise a TypeError
+    w = _load_json(args.weight, "weight")
+    if not isinstance(w, list):
         raise ValidationError("weight must be a JSON list of integers", location="weight")
-    w = realizations.check_dominant_weight(raw)
     if args.op == "positions":
         return {"positions": realizations.gl_positions(w, args.i, args.p)}
     if args.op == "sign":
@@ -309,14 +315,20 @@ def _cmd_gl_op(args):
 
 
 def _cmd_depth(args):
+    from . import engine
+
     return {"depth": engine.depth(*_label_args(args))}
 
 
 def _cmd_support(args):
+    from . import engine, serialize
+
     return serialize.support_to_json(engine.support(*_label_args(args)))
 
 
 def _cmd_graph(args):
+    from . import engine, serialize
+
     params = _params_arg(args)
     classes = None
     if args.z != "all":
@@ -338,6 +350,8 @@ _VERIFY_BOUNDS = ("n", "trials", "seed", "max_boxes", "p", "entry_bound", "ceili
 
 
 def _cmd_verify(args):
+    from . import engine, serialize
+
     # unset flags are left out: verify rejects a bound the suite does not take
     bounds = {dest: getattr(args, dest) for dest in _VERIFY_BOUNDS}
     if args.params is not None:
@@ -347,6 +361,9 @@ def _cmd_verify(args):
 
 
 def _cmd_params(args):
+    from . import serialize
+    from .params import cyclotomic_c, hecke_parameters
+
     p = _params_arg(args)
     out = serialize.params_to_json(p)
     out["e"] = "infinity" if p.e is None else p.e
@@ -368,22 +385,6 @@ def _cmd_params(args):
         out["cyclotomic_c"] = None
         out["note"] = "numeric conversions need rational kappa"
     return out
-
-
-_HANDLERS = {
-    "reduce": _cmd_reduce,
-    "string-op": _cmd_string_op,
-    "boundary": _cmd_boundary,
-    "fock-op": _cmd_fock_op,
-    "kgroup": _cmd_kgroup,
-    "class-member": _cmd_class_member,
-    "gl-op": _cmd_gl_op,
-    "depth": _cmd_depth,
-    "support": _cmd_support,
-    "graph": _cmd_graph,
-    "verify": _cmd_verify,
-    "params": _cmd_params,
-}
 
 
 if __name__ == "__main__":

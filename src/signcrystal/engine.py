@@ -162,6 +162,9 @@ def build_graph(
     of one class holds the same ZClass object.  Edges come in (source, z)
     order: the nodes are sorted, and `_merge` gives each node's classes in
     class order.
+
+    node_ceiling bounds the components the graph holds, nodes x ell: each
+    node costs its ell components to enumerate and to store.
     """
     if not isinstance(max_boxes, int) or isinstance(max_boxes, bool) or max_boxes < 0:
         raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
@@ -172,13 +175,17 @@ def build_graph(
         allowed = tuple(sorted({params.coerce_class(z) for z in classes}))
         only = {z.value for z in allowed}
     # size by size, each size sorted by its rows: (size, rows) order
+    budget = node_ceiling // params.ell
     nodes: list[Multipartition] = []
     for n in range(max_boxes + 1):
         below = len(nodes)
         for mp in multipartitions_of(params.ell, n):
             nodes.append(mp)
-            if len(nodes) > node_ceiling:
-                raise ResourceCeilingError(f"graph would exceed the node ceiling {node_ceiling}")
+            if len(nodes) > budget:
+                raise ResourceCeilingError(
+                    f"graph would hold more than {node_ceiling} components (nodes x ell); "
+                    "raise the ceiling to proceed"
+                )
         nodes[below:] = sorted(nodes[below:], key=attrgetter("components"))
     index = {mp.components: k for k, mp in enumerate(nodes)}
 

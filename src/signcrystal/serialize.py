@@ -15,13 +15,13 @@ from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .params import IRRATIONAL, Params, ZClass
-from .realizations import ZBoundary
 from .young import BoxRef, Multipartition
 
 if TYPE_CHECKING:
-    # annotations only: a command that serializes no engine result never
-    # loads engine
+    # annotations only: a command that serializes no boundary or engine
+    # result loads neither realizations nor engine
     from .engine import CrystalGraph, SupportDescriptor, VerifyReport
+    from .realizations import ZBoundary
 
 
 def params_to_json(p: Params) -> dict:

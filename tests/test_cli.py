@@ -333,6 +333,17 @@ class TestGraph:
         )
         assert code == 2
         assert data["error"]["code"] == "VALIDATION" and "ceiling" in data["error"]["message"]
+        # the ceiling counts components: 301 nodes of 300 fit 90,300, not one less
+        args = ("graph", "--max-boxes", "1", "--params")
+        args += (json.dumps({"ell": 300, "kappa": "irrational", "charges": [0] * 300}),)
+        code, data = run_json(capsys, *args, "--ceiling", "90300")
+        assert code == 0 and len(data["nodes"]) == 301
+        code, data = run_json(capsys, *args, "--ceiling", "90299")
+        assert code == 4
+        assert data["error"]["message"] == (
+            "graph would hold more than 90299 components (nodes x ell); "
+            "raise the ceiling to proceed"
+        )
 
 
 class TestVerifyCommand:
@@ -666,10 +677,11 @@ class TestColdImports:
         assert not loaded & {"signcrystal.serialize", "signcrystal.engine", "signcrystal.naive"}
 
     def test_params_loads_no_engine(self):
-        # the cyclotomic ceiling lives in the library, not in engine
+        # the cyclotomic ceiling lives in the library, not in engine, and
+        # serialize reads realizations only for an annotation
         loaded = cold_modules("params", "--params", PARAMS_HALF)
         assert "signcrystal.params" in loaded
-        assert not loaded & {"signcrystal.engine", "signcrystal.naive"}
+        assert not loaded & {"signcrystal.engine", "signcrystal.naive", "signcrystal.realizations"}
 
     def test_depth_loads_engine_but_not_naive(self):
         loaded = cold_modules("depth", "--params", PARAMS_HALF, "--mp", "[[2,1]]")
@@ -677,7 +689,7 @@ class TestColdImports:
         assert "signcrystal.naive" not in loaded
 
     def test_patched_engine_reaches_the_first_verify(self):
-        # the CLI binds engine on its first engine command, after the patch
+        # the handler reads engine.verify when it runs, after the patch
         probe = (
             "from signcrystal import cli, engine; "
             "engine.verify = lambda suite, **b: engine.VerifyReport(suite, {}, False, 1, {}); "

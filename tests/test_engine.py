@@ -368,6 +368,14 @@ class TestGraph:
             build_graph(P_HALF, 6, node_ceiling=3)
         with pytest.raises(ValidationError, match="node_ceiling"):
             build_graph(P_HALF, 2, node_ceiling=-1)
+        # the ceiling counts components, nodes x ell: 8 nodes of 2 at 2 boxes
+        p = Params(2, IRRATIONAL, (0, 1))
+        assert len(build_graph(p, 2, node_ceiling=16).nodes) == 8
+        with pytest.raises(ResourceCeilingError, match=r"more than 15 components \(nodes x ell\)"):
+            build_graph(p, 2, node_ceiling=15)
+        # 45,751 nodes of 300 components each would pass the default
+        with pytest.raises(ResourceCeilingError):
+            build_graph(Params(300, IRRATIONAL, (0,) * 300), 2)
 
     def test_rejects_bad_max_boxes(self):
         with pytest.raises(ValidationError):
