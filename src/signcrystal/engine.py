@@ -15,14 +15,10 @@ from typing import NamedTuple
 
 # naive is imported inside the three suites that check against it, so no
 # other computation loads it
-from .errors import (
-    DEFAULT_NODE_CEILING,
-    DegenerateClassError,
-    ResourceCeilingError,
-    ValidationError,
-)
+from .errors import DEFAULT_NODE_CEILING, Budget, DegenerateClassError, ValidationError
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
+    _check_characteristic,
     _check_pair,
     _merge,
     _step,
@@ -48,6 +44,11 @@ from .signstrings import (
 from .young import BoxRef, Multipartition, multipartitions_of, multipartitions_up_to
 
 DEFAULT_WORD_CEILING = 1 << 14
+_DEPTH_STEPS = "depth walks up to {spent} steps, above the ceiling {ceiling}"
+_DEPTH_CORNERS = "depth would rebuild more than {ceiling} boundary corners"
+_GRAPH_COMPONENTS = (
+    "graph would hold more than {ceiling} components (nodes x ell); raise the ceiling to proceed"
+)
 
 
 def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
@@ -70,24 +71,17 @@ def depth(params: Params, m: Multipartition, memo: dict | None = None) -> int:
     DEFAULT_NODE_CEILING, raises ResourceCeilingError.
     """
     _check_pair(params, m)
-    if m.size > DEFAULT_NODE_CEILING:
-        raise ResourceCeilingError(
-            f"depth walks up to {m.size} steps, above the ceiling {DEFAULT_NODE_CEILING}"
-        )
+    Budget(DEFAULT_NODE_CEILING, _DEPTH_STEPS).charge(m.size)
     if memo is None:
         memo = {}
     path = []
     mp = m
-    corners = 0
+    corners = Budget(DEFAULT_NODE_CEILING, _DEPTH_CORNERS)
     corner_table: dict = {}
     while mp is not None and mp not in memo:
         path.append(mp)
         merged = _merge(params, mp, corner_table, None)
-        corners += sum(len(boxes) for _, boxes, _ in merged)
-        if corners > DEFAULT_NODE_CEILING:
-            raise ResourceCeilingError(
-                f"depth would rebuild more than {DEFAULT_NODE_CEILING} boundary corners"
-            )
+        corners.charge(sum(len(boxes) for _, boxes, _ in merged))
         box = None
         for _, boxes, sign in merged:
             i = _flip_at(sign, False)  # the lowering flip
@@ -175,17 +169,13 @@ def build_graph(
         allowed = tuple(sorted({params.coerce_class(z) for z in classes}))
         only = {z.value for z in allowed}
     # size by size, each size sorted by its rows: (size, rows) order
-    budget = node_ceiling // params.ell
+    ell, components = params.ell, Budget(node_ceiling, _GRAPH_COMPONENTS)
     nodes: list[Multipartition] = []
     for n in range(max_boxes + 1):
         below = len(nodes)
-        for mp in multipartitions_of(params.ell, n):
+        for mp in multipartitions_of(ell, n):
+            components.charge(ell)
             nodes.append(mp)
-            if len(nodes) > budget:
-                raise ResourceCeilingError(
-                    f"graph would hold more than {node_ceiling} components (nodes x ell); "
-                    "raise the ceiling to proceed"
-                )
         nodes[below:] = sorted(nodes[below:], key=attrgetter("components"))
     index = {mp.components: k for k, mp in enumerate(nodes)}
 
@@ -287,11 +277,9 @@ def verify(suite: str, **bounds) -> VerifyReport:
 
 
 def _check_word_budget(n: int, ceiling: int) -> None:
-    # the bit-length test comes first: 2**n alone can exhaust memory
-    if n > ceiling.bit_length() or 2**n > ceiling:
-        raise ResourceCeilingError(
-            f"2^{n} words exceed the ceiling {ceiling}; raise it explicitly to proceed"
-        )
+    # past the ceiling's bit length, 2**n alone can exhaust memory
+    message = f"2^{n} words exceed the ceiling {{ceiling}}; raise it explicitly to proceed"
+    Budget(ceiling, message).charge(2**n if n <= ceiling.bit_length() else ceiling + 1)
 
 
 def _verify_axioms(n: int = 14, ceiling: int = DEFAULT_WORD_CEILING):
@@ -326,13 +314,14 @@ def _verify_confluence(
     n: int = 10, trials: int = 100, seed: int = 0, ceiling: int = DEFAULT_NODE_CEILING
 ):
     # the budget counts each word of length 0..n once per trial, and at
-    # least once; the bit-length test comes first, so a huge n never forms 2**n
+    # least once; past the ceiling's bit length, a huge n never forms 2**n
     runs = max(trials, 1)
-    if n > ceiling.bit_length() or ((1 << max(n + 1, 0)) - 1) * runs > ceiling:
-        raise ResourceCeilingError(
-            f"confluence would rewrite every word up to length {n} x {runs} trials, above the "
-            f"ceiling {ceiling}; raise it explicitly to proceed"
-        )
+    rewrites = ((1 << max(n + 1, 0)) - 1) * runs if n <= ceiling.bit_length() else ceiling + 1
+    Budget(
+        ceiling,
+        f"confluence would rewrite every word up to length {n} x {runs} trials, above the "
+        f"ceiling {{ceiling}}; raise it explicitly to proceed",
+    ).charge(rewrites)
     from . import naive
 
     rng = random.Random(seed)
@@ -386,17 +375,17 @@ def _verify_boundary_invariance(
     # each check merges a boundary over all of the label's corners, so a
     # label costs its checks times its corners against the ceiling
     kind = params.class_kind
-    checked = work = 0
+    checked = 0
+    work = Budget(
+        ceiling,
+        "boundary_invariance would rebuild more than {ceiling} boundary corners; "
+        "raise the ceiling to proceed",
+    )
     corner_table: dict = {}
     for m in multipartitions_up_to(params.ell, max_boxes):
         merged = _merge(params, m, corner_table, None)
         corners = sum(len(boxes) for _, boxes, _ in merged)
-        work += corners * sum(sign.count(PLUS) for _, _, sign in merged)
-        if work > ceiling:
-            raise ResourceCeilingError(
-                f"boundary_invariance would rebuild more than {ceiling} boundary corners; "
-                "raise the ceiling to proceed"
-            )
+        work.charge(corners * sum(sign.count(PLUS) for _, _, sign in merged))
         for value, boxes, sign in merged:
             for k, sym in enumerate(sign):
                 if sym != PLUS:
@@ -424,17 +413,17 @@ def _verify_realization_consistency(
     # corners plus its class's box count squared against the ceiling
     kappa = params.kappa if params.is_rational else None
     kind = params.class_kind
-    checked = work = 0
+    checked = 0
+    work = Budget(
+        ceiling,
+        "realization_consistency would compare more than {ceiling} boundary entries; "
+        "raise the ceiling to proceed",
+    )
     corner_table: dict = {}
     for m in multipartitions_up_to(params.ell, max_boxes):
         merged = _merge(params, m, corner_table, None)
         corners = sum(len(boxes) for _, boxes, _ in merged)
-        work += sum(corners + len(boxes) ** 2 for _, boxes, _ in merged)
-        if work > ceiling:
-            raise ResourceCeilingError(
-                f"realization_consistency would compare more than {ceiling} boundary entries; "
-                "raise the ceiling to proceed"
-            )
+        work.charge(sum(corners + len(boxes) ** 2 for _, boxes, _ in merged))
         for value, boxes, sign in merged:
             zp = (kind, value)
             checked += 1
@@ -459,13 +448,13 @@ def _verify_gl_realization(
 ):
     if n < 0:
         raise ValidationError(f"gl_realization needs n >= 0, got {n}")
+    _check_characteristic(p)
     i_values = range(p) if p else range(-1, entry_bound + 1)
     weights = math.comb(max(entry_bound + 1, 0), n)
     # p, not len(range(p)), which overflows for a huge p
-    if weights * (p or len(i_values)) > ceiling:
-        raise ResourceCeilingError(
-            f"gl_realization would run more than {ceiling} checks; raise the ceiling to proceed"
-        )
+    Budget(
+        ceiling, "gl_realization would run more than {ceiling} checks; raise the ceiling to proceed"
+    ).charge(weights * (p or len(i_values)))
     from . import naive
 
     checked = 0
@@ -500,16 +489,15 @@ def _gl_call(fn, w, i, p):
 def _verify_depth_irrational(max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEILING):
     params = Params(1, IRRATIONAL, (0,))
     memo: dict = {}
-    checked = 0
+    labels = Budget(
+        ceiling,
+        "depth_irrational would visit more than {ceiling} labels; raise the ceiling to proceed",
+    )
     for m in multipartitions_up_to(1, max_boxes):
-        checked += 1
-        if checked > ceiling:
-            raise ResourceCeilingError(
-                f"depth_irrational would visit more than {ceiling} labels; raise the ceiling to proceed"
-            )
+        labels.charge()
         if depth(params, m, memo) != m.size:
-            return checked, {"multipartition": m.to_lists()}
-    return checked, None
+            return labels.spent, {"multipartition": m.to_lists()}
+    return labels.spent, None
 
 
 # name -> runner; `verify`, the CLI's --suite choices and the tests read it

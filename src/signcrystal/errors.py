@@ -60,3 +60,18 @@ class ResourceCeilingError(CrystalError):
 
     code = "RESOURCE_CEILING"
     exit_code = 4
+
+
+class Budget:
+    """Work charged against a ceiling.  Once `spent` passes it, charge raises
+    ResourceCeilingError with `message`, its {spent} and {ceiling} filled in only then."""
+
+    __slots__ = ("ceiling", "message", "spent")
+
+    def __init__(self, ceiling: int, message: str):
+        self.ceiling, self.message, self.spent = ceiling, message, 0
+
+    def charge(self, n: int = 1) -> None:
+        self.spent += n
+        if self.spent > self.ceiling:
+            raise ResourceCeilingError(self.message.format(spent=self.spent, ceiling=self.ceiling))

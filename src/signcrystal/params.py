@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_NODE_CEILING, ResourceCeilingError, ValidationError
+from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError
 
 
 class _IrrationalKappa:
@@ -140,12 +140,10 @@ def cyclotomic_c(params: Params) -> tuple[Fraction, tuple[complex, ...]]:
             "cyclotomic parameters need rational kappa; a formal transcendental has no numeric value"
         )
     ell = params.ell
-    terms = (ell - 1) ** 2
-    if terms > DEFAULT_NODE_CEILING:
-        raise ResourceCeilingError(
-            f"cyclotomic_c at ell={ell} sums {terms} terms, above the ceiling "
-            f"{DEFAULT_NODE_CEILING}"
-        )
+    Budget(
+        DEFAULT_NODE_CEILING,
+        f"cyclotomic_c at ell={ell} sums {{spent}} terms, above the ceiling {{ceiling}}",
+    ).charge((ell - 1) ** 2)
     c0 = -params.kappa
     # exp(-2 pi i * ij / ell) depends on ij mod ell only
     roots = [_unit_exp(Fraction(-k, ell)) for k in range(ell)]

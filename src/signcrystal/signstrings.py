@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .errors import DEFAULT_NODE_CEILING, ResourceCeilingError, ValidationError
+from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError
 
 PLUS = "+"
 MINUS = "-"
@@ -139,12 +139,11 @@ def minus_flips(t: str) -> list[tuple[int, str]]:
 def _flips(t: str, old: str, new: str) -> list[tuple[int, str]]:
     # the flipped words hold len(t) symbols per `old` in t, all built at once
     check_sign_string(t)
-    size = len(t) * t.count(old)
-    if size > DEFAULT_NODE_CEILING:
-        raise ResourceCeilingError(
-            f"flips of a word of length {len(t)} would write {size} symbols, "
-            f"above the ceiling {DEFAULT_NODE_CEILING}"
-        )
+    Budget(
+        DEFAULT_NODE_CEILING,
+        f"flips of a word of length {len(t)} would write {{spent}} symbols, "
+        f"above the ceiling {{ceiling}}",
+    ).charge(len(t) * t.count(old))
     return [(i + 1, t[:i] + new + t[i + 1:]) for i, s in enumerate(t) if s == old]
 
 

@@ -420,16 +420,33 @@ class TestVerifyCommand:
         assert code == 4
 
     def test_gl_huge_characteristic(self, capsys):
+        # a huge prime passes the characteristic check and exits 4 on the
+        # check count; a huge composite is no characteristic and exits 2
         code, data = run_json(
             capsys, "verify", "--suite", "gl_realization", "--p", "2305843009213693951"
         )
         assert code == 4
         assert data["error"]["code"] == "RESOURCE_CEILING"
+        code, data = run_json(
+            capsys, "verify", "--suite", "gl_realization", "--p", "100000000000000000000"
+        )
+        assert code == 2
+        assert data["error"] == {
+            "code": "VALIDATION",
+            "message": "characteristic must be 0 or a prime, got 100000000000000000000",
+        }
 
     def test_gl_negative_n(self, capsys):
         code, data = run_json(capsys, "verify", "--suite", "gl_realization", "--n", "-1")
         assert code == 2
         assert data["error"]["code"] == "VALIDATION"
+        # a negative characteristic is rejected as one, not as a suite that checks nothing
+        code, data = run_json(capsys, "verify", "--suite", "gl_realization", "--p", "-3")
+        assert code == 2
+        assert data["error"] == {
+            "code": "VALIDATION",
+            "message": "characteristic must be 0 or a prime, got -3",
+        }
 
     @pytest.mark.parametrize(
         "bounds",

@@ -19,10 +19,10 @@ from signcrystal.engine import (
     verify,
 )
 from signcrystal.errors import ResourceCeilingError, ValidationError
-from signcrystal.params import IRRATIONAL, Params, ZClass
+from signcrystal.params import IRRATIONAL, Params, ZClass, cyclotomic_c
 from signcrystal.realizations import boundaries, boundary, crystal_remove
 from signcrystal.serialize import graph_to_dot, graph_to_json
-from signcrystal.signstrings import statistics, weight
+from signcrystal.signstrings import minus_flips, plus_flips, statistics, weight
 from signcrystal.young import Multipartition, multipartitions_up_to
 from test_realizations import wide_param_sets
 
@@ -554,3 +554,114 @@ class TestVerify:
         assert 2**15 > DEFAULT_WORD_CEILING
         with pytest.raises(ResourceCeilingError):
             verify("axioms", n=10**18)
+
+
+def _depth_at_ceiling(monkeypatch, ceiling):
+    # the walk from (2,1) builds four tables, with 5 + 3 + 3 + 1 corners
+    monkeypatch.setattr(engine, "DEFAULT_NODE_CEILING", ceiling)
+    return depth(P_IRR, Multipartition(((2, 1),)))
+
+
+def _depth_of_one_row(monkeypatch, size):
+    # a memo that holds the label leaves nothing to walk after the size check
+    m = Multipartition(((size,),))
+    return depth(P_IRR, m, {m: size})
+
+
+def _suite(suite, **bounds):
+    return lambda monkeypatch, ceiling: verify(suite, **bounds, ceiling=ceiling)
+
+
+# site: (run(monkeypatch, x), largest x that passes, x that raises, its message)
+CEILING_EDGES = {
+    "depth size": (
+        _depth_of_one_row,
+        2_000_000,
+        2_000_001,
+        "depth walks up to 2000001 steps, above the ceiling 2000000",
+    ),
+    "depth corners": (
+        _depth_at_ceiling, 12, 11, "depth would rebuild more than 11 boundary corners"
+    ),
+    "build_graph": (
+        lambda monkeypatch, c: build_graph(Params(2, IRRATIONAL, (0, 1)), 2, node_ceiling=c),
+        16,
+        15,
+        "graph would hold more than 15 components (nodes x ell); raise the ceiling to proceed",
+    ),
+    "axioms": (
+        _suite("axioms", n=3),
+        8,
+        7,
+        "2^3 words exceed the ceiling 7; raise it explicitly to proceed",
+    ),
+    "comb_lemma": (
+        _suite("comb_lemma", n=3),
+        8,
+        7,
+        "2^3 words exceed the ceiling 7; raise it explicitly to proceed",
+    ),
+    "confluence": (
+        _suite("confluence", n=2, trials=3),
+        21,
+        20,
+        "confluence would rewrite every word up to length 2 x 3 trials, above the ceiling 20; "
+        "raise it explicitly to proceed",
+    ),
+    "boundary_invariance": (
+        _suite("boundary_invariance", params=Params(3, IRRATIONAL, (0, 1, 2)), max_boxes=0),
+        9,
+        8,
+        "boundary_invariance would rebuild more than 8 boundary corners; "
+        "raise the ceiling to proceed",
+    ),
+    "realization_consistency": (
+        _suite("realization_consistency", params=P_HALF, max_boxes=0),
+        2,
+        1,
+        "realization_consistency would compare more than 1 boundary entries; "
+        "raise the ceiling to proceed",
+    ),
+    "gl_realization": (
+        _suite("gl_realization", n=2, p=3, entry_bound=3),
+        18,
+        17,
+        "gl_realization would run more than 17 checks; raise the ceiling to proceed",
+    ),
+    "depth_irrational": (
+        _suite("depth_irrational", max_boxes=3),
+        7,
+        6,
+        "depth_irrational would visit more than 6 labels; raise the ceiling to proceed",
+    ),
+    "plus_flips": (
+        lambda monkeypatch, k: plus_flips("+" * k),
+        1414,
+        1415,
+        "flips of a word of length 1415 would write 2002225 symbols, above the ceiling 2000000",
+    ),
+    "minus_flips": (
+        lambda monkeypatch, k: minus_flips("-" * k),
+        1414,
+        1415,
+        "flips of a word of length 1415 would write 2002225 symbols, above the ceiling 2000000",
+    ),
+    "cyclotomic_c": (
+        lambda monkeypatch, ell: cyclotomic_c(Params(ell, HALF, (0,) * ell)),
+        1415,
+        1416,
+        "cyclotomic_c at ell=1416 sums 2002225 terms, above the ceiling 2000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", CEILING_EDGES)
+def test_ceiling_message_at_its_edge(monkeypatch, site):
+    """Every ceiling lets its largest allowed work through, and one unit
+    more raises ResourceCeilingError with exactly this message."""
+    run, allowed, over, message = CEILING_EDGES[site]
+    run(monkeypatch, allowed)
+    with pytest.raises(ResourceCeilingError) as raised:
+        run(monkeypatch, over)
+    assert type(raised.value) is ResourceCeilingError
+    assert raised.value.message == message
