@@ -209,9 +209,9 @@ def _params_arg(args):
 
 def _label_args(args):
     """(params, multipartition), read in that order."""
-    from . import serialize
+    from .young import Multipartition
 
-    return _params_arg(args), serialize.mp_from_json(_load_json(args.mp, "mp"))
+    return _params_arg(args), Multipartition.from_lists(_load_json(args.mp, "mp"))
 
 
 def _class_args(args):
@@ -297,8 +297,8 @@ def _cmd_class_member(args):
 def _cmd_gl_op(args):
     from . import realizations
 
-    # each gl_* call checks the weight, then p; a JSON number would reach
-    # check_dominant_weight's tuple() and raise a TypeError
+    # each gl_* call checks the weight, then p, then i; a JSON number would
+    # reach check_dominant_weight's tuple() and raise a TypeError
     w = _load_json(args.weight, "weight")
     if not isinstance(w, list):
         raise ValidationError("weight must be a JSON list of integers", location="weight")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 # naive is imported inside the three suites that check against it, so no
 # other computation loads it
-from .errors import DEFAULT_NODE_CEILING, Budget, DegenerateClassError, ValidationError
+from .errors import DEFAULT_NODE_CEILING, Budget, DegenerateClassError, ValidationError, is_int
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     _check_characteristic,
@@ -160,7 +160,7 @@ def build_graph(
     node_ceiling bounds the components the graph holds, nodes x ell: each
     node costs its ell components to enumerate and to store.
     """
-    if not isinstance(max_boxes, int) or isinstance(max_boxes, bool) or max_boxes < 0:
+    if not is_int(max_boxes) or max_boxes < 0:
         raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
     if node_ceiling < 0:
         raise ValidationError(f"node_ceiling must be nonnegative, got {node_ceiling}")
@@ -260,7 +260,7 @@ def verify(suite: str, **bounds) -> VerifyReport:
     args.apply_defaults()
     for name, value in args.arguments.items():
         want = Params if name == "params" else int
-        if not isinstance(value, want) or isinstance(value, bool):
+        if not (isinstance(value, Params) if want is Params else is_int(value)):
             raise ValidationError(f"suite {suite!r}: {name} must be {want.__name__}, got {value!r}")
     ceiling = args.arguments["ceiling"]
     if ceiling < 0:

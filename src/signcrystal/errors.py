@@ -12,6 +12,11 @@ from __future__ import annotations
 DEFAULT_NODE_CEILING = 2_000_000
 
 
+def is_int(value) -> bool:
+    """The one integer rule for inputs: an int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class CrystalError(Exception):
 
     code = "ERROR"

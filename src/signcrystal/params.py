@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError
+from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError, is_int
 
 
 class _IrrationalKappa:
@@ -60,11 +60,11 @@ class Params:
     charges: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 1:
+        if not is_int(self.ell) or self.ell < 1:
             raise ValidationError(f"ell must be a positive integer, got {self.ell!r}")
         charges = tuple(self.charges)
         for s in charges:
-            if not isinstance(s, int) or isinstance(s, bool):
+            if not is_int(s):
                 raise ValidationError(f"charges must be integers, got {s!r}")
         if len(charges) != self.ell:
             raise ValidationError(f"expected {self.ell} charges, got {len(charges)}")
@@ -100,7 +100,7 @@ class Params:
         return "residue" if self.is_rational else "content"
 
     def coerce_class(self, z: ZClass) -> ZClass:
-        """Check the class label matches the mode; normalize residues."""
+        """Check the class label's kind and integer value; normalize residues."""
         if not isinstance(z, ZClass):
             raise ValidationError(f"expected a ZClass, got {type(z).__name__}")
         if z.kind != self.class_kind:
@@ -109,6 +109,8 @@ class Params:
                 if self.is_rational
                 else "irrational kappa indexes classes by exact content"
             )
+        if not is_int(z.value):
+            raise ValidationError(f"class value must be an integer, got {z.value!r}")
         return ZClass("residue", z.value % self.e) if self.is_rational else z
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import DegenerateClassError, DTieError, ResourceCeilingError, ValidationError
+from .errors import DegenerateClassError, DTieError, ResourceCeilingError, ValidationError, is_int
 from .params import Params, ZClass
 from .signstrings import MINUS, PLUS, _flip_at, check_sign_string
 from .young import BoxRef, Multipartition, Partition, corners
@@ -201,16 +201,19 @@ def kgroup_restriction(params: Params, m: Multipartition, z: ZClass) -> list[Mul
 def check_dominant_weight(entries) -> tuple[int, ...]:
     w = tuple(entries)
     for x in w:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not is_int(x):
             raise ValidationError(f"weight entries must be integers, got {x!r}")
-    for a, b in zip(w, w[1:]):
-        if a <= b:
-            raise ValidationError(f"weight must be strictly decreasing, got {w}")
+    if not _strictly_decreasing(w):
+        raise ValidationError(f"weight must be strictly decreasing, got {w}")
     return w
 
 
+def _strictly_decreasing(w) -> bool:
+    return all(a > b for a, b in zip(w, w[1:]))
+
+
 def _check_characteristic(p: int) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0 or (p != 0 and not _is_prime(p)):
+    if not is_int(p) or p < 0 or (p != 0 and not _is_prime(p)):
         raise ValidationError(f"characteristic must be 0 or a prime, got {p!r}")
 
 
@@ -247,28 +250,29 @@ def _is_prime(n: int) -> bool:
 
 def gl_positions(weight, i: int, p: int) -> list[int]:
     """1-based indices whose entry matches i or i+1 (mod p, or exactly for p=0)."""
-    w = check_dominant_weight(weight)
-    _check_characteristic(p)
-    return _gl_word(w, i, p)[0]
+    return _gl_word(weight, i, p)[1]
 
 
 def gl_sign_string(weight, i: int, p: int) -> str:
     """'+' where the entry matches i, '-' where it matches i+1, by position."""
+    return _gl_word(weight, i, p)[2]
+
+
+def _gl_word(weight, i: int, p: int) -> tuple[tuple[int, ...], list[int], str]:
+    """The one entry of the dominant-weight side: check the weight, then p,
+    then i, and return (w, matching positions, their sign word).  An entry v
+    is '+' when v - i is 0 and '-' when it is 1, mod p for p > 0."""
     w = check_dominant_weight(weight)
     _check_characteristic(p)
-    return _gl_word(w, i, p)[1]
-
-
-def _gl_word(w: tuple[int, ...], i: int, p: int) -> tuple[list[int], str]:
-    """Matching positions and their sign word, for an already checked w and
-    p: an entry v is '+' when v - i is 0 and '-' when it is 1, mod p for p > 0."""
+    if not is_int(i):
+        raise ValidationError(f"class index must be an integer, got {i!r}")
     positions, parts = [], []
     for j, v in enumerate(w, 1):
         gap = v - i if p == 0 else (v - i) % p
         if gap == 0 or gap == 1:
             positions.append(j)
             parts.append(PLUS if gap == 0 else MINUS)
-    return positions, "".join(parts)
+    return w, positions, "".join(parts)
 
 
 def gl_crystal_add(weight, i: int, p: int) -> tuple[int, ...] | None:
@@ -282,18 +286,15 @@ def gl_crystal_remove(weight, i: int, p: int) -> tuple[int, ...] | None:
 
 
 def _gl_step(weight, i: int, p: int, raising: bool) -> tuple[int, ...] | None:
-    w = check_dominant_weight(weight)
-    _check_characteristic(p)
-    positions, sign = _gl_word(w, i, p)
+    w, positions, sign = _gl_word(weight, i, p)
     k = _flip_at(sign, raising)
     if k < 0:
         return None
     j = positions[k]
     changed = list(w)
     changed[j - 1] += 1 if raising else -1
-    for a, b in zip(changed, changed[1:]):
-        if a <= b:
-            raise DegenerateClassError(
-                f"flip at position {j} leaves the non-dominant sequence {tuple(changed)}"
-            )
+    if not _strictly_decreasing(changed):
+        raise DegenerateClassError(
+            f"flip at position {j} leaves the non-dominant sequence {tuple(changed)}"
+        )
     return tuple(changed)

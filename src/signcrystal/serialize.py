@@ -1,10 +1,10 @@
 """JSON forms of the public value types, requests and reports.
 
 Parameters and class labels are read and written, and a written one
-parses back to an equal value.  A multipartition is read and written as
-its list of rows.  Boxes, boundaries and engine results are written
-only.  Floating point appears only in the numeric parameter
-conversions, which the CLI labels as approximate.
+parses back to an equal value.  A multipartition is written as its list
+of rows and read by `Multipartition.from_lists`.  Boxes, boundaries and
+engine results are written only.  Floating point appears only in the
+numeric parameter conversions, which the CLI labels as approximate.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 from .params import IRRATIONAL, Params, ZClass
-from .young import BoxRef, Multipartition
+from .young import BoxRef
 
 if TYPE_CHECKING:
     # annotations only: a command that serializes no boundary or engine
@@ -45,16 +45,16 @@ def params_from_json(obj) -> Params:
         kappa = IRRATIONAL
     elif isinstance(raw, dict) and set(raw) == {"num", "den"}:
         num, den = raw["num"], raw["den"]
-        if not _is_int(num) or not _is_int(den) or den == 0:
+        if not is_int(num) or not is_int(den) or den == 0:
             raise ValidationError("kappa needs integer num and nonzero integer den", location="params.kappa")
         kappa = Fraction(num, den)
     else:
         raise ValidationError('kappa must be {"num":..., "den":...} or "irrational"', location="params.kappa")
     charges = obj["charges"]
-    if not isinstance(charges, list) or not all(_is_int(s) for s in charges):
+    if not isinstance(charges, list) or not all(is_int(s) for s in charges):
         raise ValidationError("charges must be a list of integers", location="params.charges")
     ell = obj.get("ell", len(charges))
-    if not _is_int(ell):
+    if not is_int(ell):
         raise ValidationError("ell must be an integer", location="params.ell")
     return Params(ell, kappa, tuple(charges))
 
@@ -67,16 +67,12 @@ def zclass_from_json(obj, params: Params) -> ZClass:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValidationError('class must be {"residue": r} or {"content": c}', location="class")
     ((kind, value),) = obj.items()
-    if kind not in ("residue", "content") or not _is_int(value):
+    if kind not in ("residue", "content") or not is_int(value):
         raise ValidationError(
             'class must be {"residue": r} or {"content": c} with an integer value',
             location="class",
         )
     return params.coerce_class(ZClass(kind, value))
-
-
-def mp_from_json(obj) -> Multipartition:
-    return Multipartition.from_lists(obj)
 
 
 def box_to_json(box: BoxRef) -> dict:
@@ -166,7 +162,3 @@ def _bound_value(v):
     if isinstance(v, Params):
         return params_to_json(v)
     return v
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 
 Partition = tuple[int, ...]
 
@@ -26,7 +26,7 @@ def check_partition(rows: Iterable[int]) -> Partition:
     """Canonicalize a row-length sequence; trailing zeros are trimmed."""
     parts = tuple(rows)
     for r in parts:
-        if not isinstance(r, int) or isinstance(r, bool):
+        if not is_int(r):
             raise ValidationError(f"partition rows must be integers, got {r!r}")
     while parts and parts[-1] == 0:
         parts = parts[:-1]

@@ -730,7 +730,6 @@ class TestRoundTrip:
         from signcrystal.params import Params, IRRATIONAL
         from fractions import Fraction
 
-        assert serialize.mp_from_json([[3, 1], []]).to_lists() == [[3, 1], []]
         p = Params(1, Fraction(1, 2), (0,))
         z = serialize.zclass_from_json({"residue": 1}, p)
         assert serialize.zclass_from_json(serialize.zclass_to_json(z), p) == z

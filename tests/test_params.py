@@ -12,9 +12,10 @@ from signcrystal.params import (
     hecke_parameters,
 )
 from signcrystal import realizations
-from signcrystal.realizations import boundaries
-from signcrystal.serialize import complex_to_json
-from signcrystal.young import BoxRef, Multipartition
+from signcrystal.engine import build_graph
+from signcrystal.realizations import boundaries, boundary, check_dominant_weight, crystal_add, gl_positions
+from signcrystal.serialize import complex_to_json, params_from_json, zclass_from_json
+from signcrystal.young import BoxRef, Multipartition, check_partition
 
 HALF = Fraction(1, 2)
 EMPTY = Multipartition(((),))
@@ -115,6 +116,63 @@ class TestZClass:
             Params(1, HALF, (0,)).coerce_class(ZClass("content", 0))
         with pytest.raises(ValidationError):
             Params(1, IRRATIONAL, (0,)).coerce_class(ZClass("residue", 0))
+
+    @pytest.mark.parametrize("value", [1.0, True, 1.5])
+    @pytest.mark.parametrize("kappa", [HALF, IRRATIONAL], ids=["residue", "content"])
+    def test_coerce_rejects_non_integer_value(self, kappa, value):
+        # a float or bool class value never reaches a boundary label
+        p = Params(1, kappa, (0,))
+        z = ZClass(p.class_kind, value)
+        for call in (
+            lambda: p.coerce_class(z),
+            lambda: boundary(p, Multipartition(((2,),)), z),
+            lambda: crystal_add(p, Multipartition(((2,),)), z),
+            lambda: build_graph(p, 2, classes=[z]),
+        ):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert err.value.message == f"class value must be an integer, got {value!r}"
+
+
+P = Params(1, HALF, (0,))
+KAPPA = {"num": 1, "den": 2}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Params(True, HALF, (0,)), "ell must be a positive integer, got True"),
+        (lambda: Params(1, HALF, (True,)), "charges must be integers, got True"),
+        (lambda: check_partition([True]), "partition rows must be integers, got True"),
+        (lambda: check_dominant_weight((True, 0)), "weight entries must be integers, got True"),
+        (lambda: gl_positions((3, 2), 0, True), "characteristic must be 0 or a prime, got True"),
+        (lambda: build_graph(P, True), "max_boxes must be a nonnegative integer, got True"),
+        (
+            lambda: params_from_json({"kappa": {"num": True, "den": 2}, "charges": [0]}),
+            "kappa needs integer num and nonzero integer den",
+        ),
+        (
+            lambda: params_from_json({"kappa": {"num": 1, "den": True}, "charges": [0]}),
+            "kappa needs integer num and nonzero integer den",
+        ),
+        (lambda: params_from_json({"kappa": KAPPA, "charges": [False]}), "charges must be a list of integers"),
+        (lambda: params_from_json({"ell": True, "kappa": KAPPA, "charges": [0]}), "ell must be an integer"),
+        (
+            lambda: zclass_from_json({"residue": True}, P),
+            'class must be {"residue": r} or {"content": c} with an integer value',
+        ),
+    ],
+    ids=[
+        "params_ell", "params_charge", "partition_row", "weight_entry", "characteristic",
+        "max_boxes", "json_num", "json_den", "json_charge", "json_ell", "json_class",
+    ],
+)
+def test_bool_is_not_an_integer(call, message):
+    # every integer input site says no to a bool with its own message; verify's
+    # bounds are covered by test_engine's ("axioms", {"n": True}) case
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert err.value.message == message
 
 
 class TestDDiff:

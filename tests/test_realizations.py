@@ -442,6 +442,12 @@ class TestDominantWeights:
             gl_positions((3, 2), 0, 4)
         with pytest.raises(ValidationError):
             gl_positions((3, 2), 0, 1)
+        # the class index i is an integer, never a float, bool or string
+        for fn in (gl_positions, gl_sign_string, gl_crystal_add, gl_crystal_remove):
+            for i in (1.0, True, 1.5, "1"):
+                with pytest.raises(ValidationError) as err:
+                    fn((5, 4, 2), i, 3)
+                assert err.value.message == f"class index must be an integer, got {i!r}"
 
     def test_positions_and_sign_modular(self):
         assert gl_positions((5, 4, 2), 1, 3) == [1, 2, 3]
