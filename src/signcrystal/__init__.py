@@ -42,8 +42,7 @@ _EXPORTS = {
         "crystal_remove",
         "gl_crystal_add",
         "gl_crystal_remove",
-        "gl_positions",
-        "gl_sign_string",
+        "gl_word",
         "kgroup_induction",
         "kgroup_restriction",
     ),

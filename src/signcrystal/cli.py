@@ -297,18 +297,16 @@ def _cmd_class_member(args):
 def _cmd_gl_op(args):
     from . import realizations
 
-    # each gl_* call checks the weight, then p, then i; a JSON number would
-    # reach check_dominant_weight's tuple() and raise a TypeError
+    # the library turns a non-list weight into a ValidationError too; this
+    # guard stays for the CLI's own message and its "location": "weight"
     w = _load_json(args.weight, "weight")
     if not isinstance(w, list):
         raise ValidationError("weight must be a JSON list of integers", location="weight")
-    if args.op == "positions":
-        return {"positions": realizations.gl_positions(w, args.i, args.p)}
-    if args.op == "sign":
-        return {
-            "positions": realizations.gl_positions(w, args.i, args.p),
-            "sign": realizations.gl_sign_string(w, args.i, args.p),
-        }
+    if args.op in ("positions", "sign"):
+        positions, sign = realizations.gl_word(w, args.i, args.p)
+        if args.op == "positions":
+            return {"positions": positions}
+        return {"positions": positions, "sign": sign}
     fn = realizations.gl_crystal_add if args.op == "add" else realizations.gl_crystal_remove
     result = fn(w, args.i, args.p)
     return {"result": None if result is None else list(result)}

@@ -20,12 +20,12 @@ from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     _check_characteristic,
     _check_pair,
+    _gl_step,
+    _gl_word,
     _merge,
     _step,
     gl_crystal_add,
     gl_crystal_remove,
-    gl_positions,
-    gl_sign_string,
 )
 from .signstrings import (
     MINUS,
@@ -450,26 +450,30 @@ def _verify_gl_realization(
         raise ValidationError(f"gl_realization needs n >= 0, got {n}")
     _check_characteristic(p)
     i_values = range(p) if p else range(-1, entry_bound + 1)
-    weights = math.comb(max(entry_bound + 1, 0), n)
-    # p, not len(range(p)), which overflows for a huge p
+    # closed forms, not len(i_values), which overflows for a huge p or
+    # entry_bound; past the ceiling's bit length, C(top, k) >= 2**k alone
+    # passes the ceiling
+    top = max(entry_bound + 1, 0)
+    k = min(n, top - n)
+    weights = math.comb(top, n) if k <= ceiling.bit_length() else ceiling + 1
     Budget(
         ceiling, "gl_realization would run more than {ceiling} checks; raise the ceiling to proceed"
-    ).charge(weights * (p or len(i_values)))
+    ).charge(weights * (p or max(entry_bound + 2, 0)))
     from . import naive
 
+    # each case reads its weight's word once and takes both steps from it;
+    # only the inverse checks read a stepped weight's word
     checked = 0
     for w in itertools.combinations(range(entry_bound, -1, -1), n):
         for i in i_values:
             checked += 1
-            positions = gl_positions(w, i, p)
-            sign = gl_sign_string(w, i, p)
-            ref_positions, ref_sign = naive.gl_sign(w, i, p)
-            if positions != ref_positions or sign != ref_sign:
+            _, positions, sign = _gl_word(w, i, p)
+            if (positions, sign) != naive.gl_sign(w, i, p):
                 return checked, {"weight": list(w), "i": i, "violated": "sign word"}
-            up = _gl_call(gl_crystal_add, w, i, p)
+            up = _gl_call(_gl_step, w, positions, sign, True)
             if up != naive.gl_add(w, i, p):
                 return checked, {"weight": list(w), "i": i, "violated": "raise"}
-            down = _gl_call(gl_crystal_remove, w, i, p)
+            down = _gl_call(_gl_step, w, positions, sign, False)
             if down != naive.gl_remove(w, i, p):
                 return checked, {"weight": list(w), "i": i, "violated": "lower"}
             if isinstance(up, tuple) and _gl_call(gl_crystal_remove, up, i, p) != w:
@@ -479,9 +483,9 @@ def _verify_gl_realization(
     return checked, None
 
 
-def _gl_call(fn, w, i, p):
+def _gl_call(fn, *args):
     try:
-        return fn(w, i, p)
+        return fn(*args)
     except DegenerateClassError:
         return "degenerate"
 

@@ -14,7 +14,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import DegenerateClassError, DTieError, ResourceCeilingError, ValidationError, is_int
+from .errors import (
+    DEFAULT_NODE_CEILING,
+    Budget,
+    DegenerateClassError,
+    DTieError,
+    ResourceCeilingError,
+    ValidationError,
+    is_int,
+)
 from .params import Params, ZClass
 from .signstrings import MINUS, PLUS, _flip_at, check_sign_string
 from .young import BoxRef, Multipartition, Partition, corners
@@ -132,33 +140,34 @@ def class_representative(params: Params, m: Multipartition, z: ZClass) -> Multip
     """Drop every removable z-box simultaneously; constant on the class.
 
     Removable boxes occupy pairwise distinct rows, so the simultaneous
-    deletion always yields a partition.
+    deletion always yields a partition: the member whose word is all '+'.
     """
-    _, boxes, sign = _class_word(params, m, z)
-    return _representative(m, boxes, sign)
-
-
-def _representative(m: Multipartition, boxes: tuple, sign: str) -> Multipartition:
-    rows = [list(part) for part in m.components]
-    for box, sym in zip(boxes, sign):
-        if sym == MINUS:
-            rows[box.comp][box.row - 1] -= 1
-    return Multipartition(tuple(rows))
+    _, boxes, _ = _class_word(params, m, z)
+    return _member(m, boxes, PLUS * len(boxes))
 
 
 def class_member(params: Params, m: Multipartition, z: ZClass, word: str) -> Multipartition:
     """The member of m's class whose boundary sign word equals `word`."""
     check_sign_string(word)
-    _, boxes, sign = _class_word(params, m, z)
+    _, boxes, _ = _class_word(params, m, z)
     if len(word) != len(boxes):
         raise ValidationError(
             f"word length {len(word)} does not match boundary size {len(boxes)}"
         )
-    member = _representative(m, boxes, sign)
-    for sym, box in zip(word, boxes):
-        if sym == MINUS:
-            member = member.add_box(box)
-    return member
+    return _member(m, boxes, word)
+
+
+def _member(m: Multipartition, boxes: tuple, word: str) -> Multipartition:
+    """m's class member whose word on the class boxes `boxes` is `word`, in one
+    pass: the boxes lie in distinct rows, and a row through a box ends at it
+    when the word marks it '-' and just before it when '+'."""
+    rows = [list(part) for part in m.components]
+    for box, sym in zip(boxes, word):
+        row = rows[box.comp]
+        if box.row > len(row):  # an addable box opening a new row
+            row.append(0)
+        row[box.row - 1] = box.col if sym == MINUS else box.col - 1
+    return Multipartition(tuple(rows))
 
 
 def crystal_add(params: Params, m: Multipartition, z: ZClass) -> tuple[Multipartition, BoxRef] | None:
@@ -185,21 +194,35 @@ def _step(m: Multipartition, boxes: tuple, sign: str, raising: bool) -> tuple[Mu
 
 def kgroup_induction(params: Params, m: Multipartition, z: ZClass) -> list[Multipartition]:
     """All single additions of an addable z-box, by increasing d-value."""
-    _, boxes, sign = _class_word(params, m, z)
-    return [m.add_box(box) for box, sym in zip(boxes, sign) if sym == PLUS]
+    return _kgroup(params, m, z, PLUS)
 
 
 def kgroup_restriction(params: Params, m: Multipartition, z: ZClass) -> list[Multipartition]:
     """All single removals of a removable z-box, by increasing d-value."""
+    return _kgroup(params, m, z, MINUS)
+
+
+def _kgroup(params: Params, m: Multipartition, z: ZClass, sym: str) -> list[Multipartition]:
+    # each result holds m's ell components, all built at once
     _, boxes, sign = _class_word(params, m, z)
-    return [m.remove_box(box) for box, sym in zip(boxes, sign) if sym == MINUS]
+    op = "induction" if sym == PLUS else "restriction"
+    Budget(
+        DEFAULT_NODE_CEILING,
+        f"kgroup {op} would build {{spent}} components (results x ell), "
+        f"above the ceiling {{ceiling}}",
+    ).charge(sign.count(sym) * m.ell)
+    step = m.add_box if sym == PLUS else m.remove_box
+    return [step(box) for box, s in zip(boxes, sign) if s == sym]
 
 
 # --- dominant weight realization ---------------------------------------
 
 
 def check_dominant_weight(entries) -> tuple[int, ...]:
-    w = tuple(entries)
+    try:
+        w = tuple(entries)
+    except TypeError:
+        raise ValidationError(f"weight must be a sequence of integers, got {entries!r}") from None
     for x in w:
         if not is_int(x):
             raise ValidationError(f"weight entries must be integers, got {x!r}")
@@ -248,14 +271,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def gl_positions(weight, i: int, p: int) -> list[int]:
-    """1-based indices whose entry matches i or i+1 (mod p, or exactly for p=0)."""
-    return _gl_word(weight, i, p)[1]
-
-
-def gl_sign_string(weight, i: int, p: int) -> str:
-    """'+' where the entry matches i, '-' where it matches i+1, by position."""
-    return _gl_word(weight, i, p)[2]
+def gl_word(weight, i: int, p: int) -> tuple[list[int], str]:
+    """(positions, sign): the 1-based indices whose entry matches i or i+1
+    (mod p, or exactly for p=0), and their word, '+' where the entry
+    matches i and '-' where it matches i+1."""
+    return _gl_word(weight, i, p)[1:]
 
 
 def _gl_word(weight, i: int, p: int) -> tuple[tuple[int, ...], list[int], str]:
@@ -277,16 +297,17 @@ def _gl_word(weight, i: int, p: int) -> tuple[tuple[int, ...], list[int], str]:
 
 def gl_crystal_add(weight, i: int, p: int) -> tuple[int, ...] | None:
     """Bump the entry at the raising flip by one; None when h_plus = 0."""
-    return _gl_step(weight, i, p, raising=True)
+    return _gl_step(*_gl_word(weight, i, p), raising=True)
 
 
 def gl_crystal_remove(weight, i: int, p: int) -> tuple[int, ...] | None:
     """Drop the entry at the lowering flip by one; None when h_minus = 0."""
-    return _gl_step(weight, i, p, raising=False)
+    return _gl_step(*_gl_word(weight, i, p), raising=False)
 
 
-def _gl_step(weight, i: int, p: int, raising: bool) -> tuple[int, ...] | None:
-    w, positions, sign = _gl_word(weight, i, p)
+def _gl_step(w: tuple, positions: list, sign: str, raising: bool) -> tuple[int, ...] | None:
+    """Bump the entry at the raising flip of a checked weight's word, or
+    drop the entry at its lowering flip; None when the word has no such flip."""
     k = _flip_at(sign, raising)
     if k < 0:
         return None

@@ -105,7 +105,7 @@ def suffix_h_minus(t: str, k: int) -> int:
     check_sign_string(t)
     if not 1 <= k <= len(t) + 1:
         raise ValidationError(f"suffix start {k} out of range 1..{len(t) + 1}")
-    return h_minus(t[k - 1:])
+    return _reduce(t[k - 1:]).count(MINUS)
 
 
 def succ_compare(a: str, b: str) -> int:

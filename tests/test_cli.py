@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from signcrystal import cli, engine, errors
 from signcrystal.engine import VerifyReport
+from test_realizations import count_gl_reads
 
 PARAMS_HALF = '{"ell":1,"kappa":{"num":1,"den":2},"charges":[0]}'
 PARAMS_IRR = '{"ell":2,"kappa":"irrational","charges":[0,1]}'
@@ -237,6 +238,25 @@ class TestGlOp:
         assert code == 0
         assert data == {"result": None}
 
+    def test_rejects_non_list_weight(self, capsys):
+        code, out = run_cli(capsys, "gl-op", "--op", "sign", "--weight", "5", "--i", "1", "--p", "3")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {
+                "code": "VALIDATION",
+                "location": "weight",
+                "message": "weight must be a JSON list of integers",
+            }
+        }
+
+    def test_sign_reads_one_word(self, capsys, monkeypatch):
+        reads = count_gl_reads(monkeypatch)
+        code, data = run_json(
+            capsys, "gl-op", "--op", "sign", "--weight", "[5,4,2]", "--i", "1", "--p", "3"
+        )
+        assert (code, data) == (0, {"positions": [1, 2, 3], "sign": "-+-"})
+        assert len(reads) == 1
+
     def test_rejects_non_dominant(self, capsys):
         code, data = run_json(
             capsys, "gl-op", "--op", "sign", "--weight", "[2,2]", "--i", "1", "--p", "3"
@@ -435,6 +455,18 @@ class TestVerifyCommand:
             "code": "VALIDATION",
             "message": "characteristic must be 0 or a prime, got 100000000000000000000",
         }
+
+    def test_gl_huge_entry_bound_at_char_zero(self, capsys):
+        # p = 0 counts entry_bound + 2 classes in closed form: exit 4, no traceback
+        code, out = run_cli(
+            capsys, "verify", "--suite", "gl_realization", "--p", "0",
+            "--entry-bound", "100000000000000000000", "--n", "1",
+        )
+        assert code == 4
+        assert out == (
+            '{"error": {"code": "RESOURCE_CEILING", "message": "gl_realization would run more '
+            'than 2000000 checks; raise the ceiling to proceed"}}\n'
+        )
 
     def test_gl_negative_n(self, capsys):
         code, data = run_json(capsys, "verify", "--suite", "gl_realization", "--n", "-1")

@@ -20,11 +20,17 @@ from signcrystal.engine import (
 )
 from signcrystal.errors import ResourceCeilingError, ValidationError
 from signcrystal.params import IRRATIONAL, Params, ZClass, cyclotomic_c
-from signcrystal.realizations import boundaries, boundary, crystal_remove
+from signcrystal.realizations import (
+    boundaries,
+    boundary,
+    crystal_remove,
+    kgroup_induction,
+    kgroup_restriction,
+)
 from signcrystal.serialize import graph_to_dot, graph_to_json
 from signcrystal.signstrings import minus_flips, plus_flips, statistics, weight
 from signcrystal.young import Multipartition, multipartitions_up_to
-from test_realizations import wide_param_sets
+from test_realizations import count_gl_reads, wide_param_sets
 
 HALF = Fraction(1, 2)
 P_HALF = Params(1, HALF, (0,))
@@ -492,6 +498,32 @@ class TestVerify:
         assert verify("gl_realization", n=3, p=3, entry_bound=5).passed
         assert verify("gl_realization", n=2, p=0, entry_bound=4).passed
 
+    def test_gl_realization_reads_each_word_once(self, monkeypatch):
+        # one read per case, plus one per inverse check on a stepped weight
+        reads = count_gl_reads(monkeypatch, engine)
+        report = verify("gl_realization", n=4, p=3, entry_bound=8)
+        assert report.passed and report.checked == 378
+        assert len(reads) <= 3 * report.checked
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"p": 0, "entry_bound": 10**20, "n": 1},
+            {"entry_bound": 10**9, "n": 300_000},
+            {"entry_bound": 10**18, "n": 5 * 10**17},
+        ],
+        ids=["huge p=0 class count", "huge binomial", "huger binomial"],
+    )
+    def test_gl_realization_budget_before_any_work(self, bounds):
+        # neither the class count nor the weight count is formed in full
+        start = time.perf_counter()
+        with pytest.raises(ResourceCeilingError) as raised:
+            verify("gl_realization", **bounds)
+        assert time.perf_counter() - start < 1.0
+        assert raised.value.message == (
+            "gl_realization would run more than 2000000 checks; raise the ceiling to proceed"
+        )
+
     def test_depth_irrational(self):
         assert verify("depth_irrational", max_boxes=6).passed
 
@@ -568,6 +600,12 @@ def _depth_of_one_row(monkeypatch, size):
     return depth(P_IRR, m, {m: size})
 
 
+def _wide_kgroup(fn, ell, rows):
+    # every component meets content 0 once: ell results of ell components each
+    params = Params(ell, IRRATIONAL, (0,) * ell)
+    return fn(params, Multipartition((rows,) * ell), ZClass("content", 0))
+
+
 def _suite(suite, **bounds):
     return lambda monkeypatch, ceiling: verify(suite, **bounds, ceiling=ceiling)
 
@@ -627,6 +665,20 @@ CEILING_EDGES = {
         18,
         17,
         "gl_realization would run more than 17 checks; raise the ceiling to proceed",
+    ),
+    "kgroup_induction": (
+        lambda monkeypatch, ell: _wide_kgroup(kgroup_induction, ell, ()),
+        1414,
+        1415,
+        "kgroup induction would build 2002225 components (results x ell), "
+        "above the ceiling 2000000",
+    ),
+    "kgroup_restriction": (
+        lambda monkeypatch, ell: _wide_kgroup(kgroup_restriction, ell, (1,)),
+        1414,
+        1415,
+        "kgroup restriction would build 2002225 components (results x ell), "
+        "above the ceiling 2000000",
     ),
     "depth_irrational": (
         _suite("depth_irrational", max_boxes=3),

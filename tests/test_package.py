@@ -1,4 +1,4 @@
-"""The package's public names: the same 49 objects as their submodules',
+"""The package's public names: the same 48 objects as their submodules',
 re-exported lazily, so that importing the package loads no submodule."""
 
 import importlib
@@ -20,8 +20,8 @@ PUBLIC = {
     "params": ["IRRATIONAL", "Params", "ZClass", "cyclotomic_c", "hecke_parameters"],
     "realizations": [
         "ZBoundary", "boundaries", "boundary", "class_member", "class_representative",
-        "crystal_add", "crystal_remove", "gl_crystal_add", "gl_crystal_remove", "gl_positions",
-        "gl_sign_string", "kgroup_induction", "kgroup_restriction",
+        "crystal_add", "crystal_remove", "gl_crystal_add", "gl_crystal_remove", "gl_word",
+        "kgroup_induction", "kgroup_restriction",
     ],
     "signstrings": [
         "e_tilde", "f_tilde", "h_minus", "h_plus", "minus_flips", "plus_flips", "reduced_form",
@@ -36,7 +36,7 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 
 def test_name_count():
-    assert len(NAMES) == len({name for _, name in NAMES}) == 49
+    assert len(NAMES) == len({name for _, name in NAMES}) == 48
     assert sorted(signcrystal.__all__) == sorted(name for _, name in NAMES)
 
 

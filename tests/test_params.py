@@ -13,7 +13,7 @@ from signcrystal.params import (
 )
 from signcrystal import realizations
 from signcrystal.engine import build_graph
-from signcrystal.realizations import boundaries, boundary, check_dominant_weight, crystal_add, gl_positions
+from signcrystal.realizations import boundaries, boundary, check_dominant_weight, crystal_add, gl_word
 from signcrystal.serialize import complex_to_json, params_from_json, zclass_from_json
 from signcrystal.young import BoxRef, Multipartition, check_partition
 
@@ -145,7 +145,7 @@ KAPPA = {"num": 1, "den": 2}
         (lambda: Params(1, HALF, (True,)), "charges must be integers, got True"),
         (lambda: check_partition([True]), "partition rows must be integers, got True"),
         (lambda: check_dominant_weight((True, 0)), "weight entries must be integers, got True"),
-        (lambda: gl_positions((3, 2), 0, True), "characteristic must be 0 or a prime, got True"),
+        (lambda: gl_word((3, 2), 0, True), "characteristic must be 0 or a prime, got True"),
         (lambda: build_graph(P, True), "max_boxes must be a nonnegative integer, got True"),
         (
             lambda: params_from_json({"kappa": {"num": True, "den": 2}, "charges": [0]}),

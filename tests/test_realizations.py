@@ -26,8 +26,7 @@ from signcrystal.realizations import (
     crystal_remove,
     gl_crystal_add,
     gl_crystal_remove,
-    gl_positions,
-    gl_sign_string,
+    gl_word,
     kgroup_induction,
     kgroup_restriction,
 )
@@ -35,6 +34,20 @@ from signcrystal import realizations
 from signcrystal.signstrings import e_tilde, f_tilde, weight
 from signcrystal.young import BoxRef, Multipartition, multipartitions_up_to
 from test_young import corner_boxes
+
+def count_gl_reads(monkeypatch, *modules):
+    """Route every `_gl_word` call, in realizations and in `modules`, through
+    a counter; returns the list that gets one entry per word read."""
+    reads, entry = [], realizations._gl_word
+
+    def counting(*args):
+        reads.append(args)
+        return entry(*args)
+
+    for module in (realizations, *modules):
+        monkeypatch.setattr(module, "_gl_word", counting)
+    return reads
+
 
 HALF = Fraction(1, 2)
 P_HALF = Params(1, HALF, (0,))
@@ -267,6 +280,19 @@ class TestClassMember:
         assert class_member(P_HALF, ROW2, RES1, "--") == Multipartition(((2, 1),))
         assert len(calls) == 1
 
+    def test_wide_member_in_one_pass(self, monkeypatch):
+        # the member is built from its word over row lists, never box by box
+        def no_add_box(self, box):
+            raise AssertionError("class_member called add_box")
+
+        monkeypatch.setattr(Multipartition, "add_box", no_add_box)
+        ell = 20_000
+        p = Params(ell, IRRATIONAL, (0,) * ell)
+        start = time.perf_counter()
+        member = class_member(p, Multipartition(((),) * ell), ZClass("content", 0), "-" * ell)
+        assert time.perf_counter() - start < 1.0
+        assert member == Multipartition(((1,),) * ell)
+
     def test_bijection_small(self):
         from signcrystal.signstrings import iter_words
 
@@ -439,26 +465,32 @@ class TestDominantWeights:
         with pytest.raises(ValidationError):
             check_dominant_weight((2, 2))
         with pytest.raises(ValidationError):
-            gl_positions((3, 2), 0, 4)
+            gl_word((3, 2), 0, 4)
         with pytest.raises(ValidationError):
-            gl_positions((3, 2), 0, 1)
+            gl_word((3, 2), 0, 1)
         # the class index i is an integer, never a float, bool or string
-        for fn in (gl_positions, gl_sign_string, gl_crystal_add, gl_crystal_remove):
+        for fn in (gl_word, gl_crystal_add, gl_crystal_remove):
             for i in (1.0, True, 1.5, "1"):
                 with pytest.raises(ValidationError) as err:
                     fn((5, 4, 2), i, 3)
                 assert err.value.message == f"class index must be an integer, got {i!r}"
 
+    def test_non_iterable_weight(self):
+        # a weight that is no sequence at all is a ValidationError naming it
+        for fn in (gl_word, gl_crystal_add, gl_crystal_remove):
+            for bad in (5, None):
+                with pytest.raises(ValidationError) as err:
+                    fn(bad, 1, 3)
+                assert err.value.message == f"weight must be a sequence of integers, got {bad!r}"
+
     def test_positions_and_sign_modular(self):
-        assert gl_positions((5, 4, 2), 1, 3) == [1, 2, 3]
-        assert gl_sign_string((5, 4, 2), 1, 3) == "-+-"
+        assert gl_word((5, 4, 2), 1, 3) == ([1, 2, 3], "-+-")
 
     def test_char_zero(self):
-        assert gl_positions((9, 7, 3), 7, 0) == [2]
-        assert gl_sign_string((9, 7, 3), 7, 0) == "+"
+        assert gl_word((9, 7, 3), 7, 0) == ([2], "+")
 
     def test_no_matching_entries(self):
-        assert gl_sign_string((9, 7, 3), 100, 0) == ""
+        assert gl_word((9, 7, 3), 100, 0)[1] == ""
 
     def test_remove_example(self):
         assert gl_crystal_remove((5, 4, 2), 1, 3) == (5, 4, 1)
@@ -467,7 +499,7 @@ class TestDominantWeights:
         assert gl_crystal_add((5, 4, 2), 1, 3) is None
 
     def test_cancelled_pair(self):
-        assert gl_sign_string((1, 0), 0, 3) == "-+"
+        assert gl_word((1, 0), 0, 3)[1] == "-+"
         assert gl_crystal_add((1, 0), 0, 3) is None
         assert gl_crystal_remove((1, 0), 0, 3) is None
 
@@ -480,9 +512,16 @@ class TestDominantWeights:
             for w in itertools.combinations(range(6, -4, -1), n):
                 for p in (0, 2, 3, 5, 7):
                     for i in range(-4, 9):
-                        assert (gl_positions(w, i, p), gl_sign_string(w, i, p)) == oracles.oracle_gl_sign(w, i, p)
+                        assert gl_word(w, i, p) == oracles.oracle_gl_sign(w, i, p)
                         assert gl_crystal_add(w, i, p) == oracles.oracle_gl_add(w, i, p)
                         assert gl_crystal_remove(w, i, p) == oracles.oracle_gl_remove(w, i, p)
+
+    def test_one_word_read_per_call(self, monkeypatch):
+        reads = count_gl_reads(monkeypatch)
+        for fn in (gl_word, gl_crystal_add, gl_crystal_remove):
+            reads.clear()
+            fn((5, 4, 2), 1, 3)
+            assert len(reads) == 1, fn.__name__
 
     def test_dominance_guard(self, monkeypatch):
         # force a flip at a position the reduction would never choose
@@ -512,4 +551,4 @@ class TestPrimality:
         with pytest.raises(ResourceCeilingError):
             realizations._is_prime(3_317_044_064_679_887_385_961_981)
         with pytest.raises(ResourceCeilingError):
-            gl_positions((3, 2), 0, 10**25)
+            gl_word((3, 2), 0, 10**25)
