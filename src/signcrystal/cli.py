@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import signstrings
-from .errors import DEFAULT_NODE_CEILING, CrystalError, ValidationError
+from .errors import DEFAULT_NODE_CEILING, CrystalError, ValidationError, _any_int_digits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +47,10 @@ def main(argv=None) -> int:
         _emit(json.dumps(err.to_json(), sort_keys=True))
         return err.exit_code
     payload, code = result if isinstance(result, tuple) else (result, 0)
-    _emit(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True))
+    if not isinstance(payload, str):
+        with _any_int_digits():
+            payload = json.dumps(payload, sort_keys=True)
+    _emit(payload)
     return code
 
 
@@ -146,7 +149,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", default="json", choices=["json", "dot"])
     p.add_argument("--ceiling", type=int, default=DEFAULT_NODE_CEILING, help="ceiling on nodes x ell")
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    # an unset flag stays out of the namespace: verify rejects a bound the
+    # suite does not take
+    p = sub.add_parser(
+        "verify", help="run a named verification suite", argument_default=argparse.SUPPRESS
+    )
     p.set_defaults(handler=_cmd_verify)
     # no choices list: engine.SUITES is the one list of suites, and an
     # unknown name is a ValidationError from engine.verify
@@ -344,17 +351,13 @@ def _cmd_graph(args):
     return serialize.graph_to_json(graph)
 
 
-_VERIFY_BOUNDS = ("n", "trials", "seed", "max_boxes", "p", "entry_bound", "ceiling")
-
-
 def _cmd_verify(args):
     from . import engine, serialize
 
-    # unset flags are left out: verify rejects a bound the suite does not take
-    bounds = {dest: getattr(args, dest) for dest in _VERIFY_BOUNDS}
-    if args.params is not None:
+    bounds = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "suite")}
+    if "params" in bounds:
         bounds["params"] = _params_arg(args)
-    report = engine.verify(args.suite, **{k: v for k, v in bounds.items() if v is not None})
+    report = engine.verify(args.suite, **bounds)
     return serialize.report_to_json(report), (0 if report.passed else 3)
 
 

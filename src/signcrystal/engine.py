@@ -20,12 +20,10 @@ from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     _check_characteristic,
     _check_pair,
+    _gl_read,
     _gl_step,
-    _gl_word,
     _merge,
     _step,
-    gl_crystal_add,
-    gl_crystal_remove,
 )
 from .signstrings import (
     MINUS,
@@ -238,7 +236,8 @@ class VerifyReport:
 
 
 def verify(suite: str, **bounds) -> VerifyReport:
-    """Run the suite named in SUITES and report its first counterexample.
+    """Run the suite named in SUITES and report its first counterexample;
+    `checked` counts the cases run, that one included.
 
     `bounds` are the keyword arguments of the suite's runner; those left
     out take the runner's defaults.  Every suite takes `ceiling`, the
@@ -265,7 +264,12 @@ def verify(suite: str, **bounds) -> VerifyReport:
     ceiling = args.arguments["ceiling"]
     if ceiling < 0:
         raise ValidationError(f"suite {suite!r}: ceiling must be nonnegative, got {ceiling}")
-    checked, counterexample = runner(**args.arguments)
+    checked, counterexample, cases = 0, None, runner(**args.arguments)
+    for counterexample in cases:
+        checked += 1
+        if counterexample is not None:
+            break
+    cases.close()
     shown = {k: v for k, v in args.arguments.items() if k != "ceiling"}
     report = VerifyReport(suite, shown, counterexample is None, checked, counterexample)
     if report.passed and checked == 0:
@@ -273,7 +277,10 @@ def verify(suite: str, **bounds) -> VerifyReport:
     return report
 
 
-# Each runner returns (cases checked, first counterexample or None).
+# Each runner is a generator that yields once per case: the case's
+# counterexample dict at the check that finds it, or None once the case
+# holds.  `verify` alone counts the items, and it closes the runner at the
+# first counterexample, so no later check of that case runs.
 
 
 def _check_word_budget(n: int, ceiling: int) -> None:
@@ -284,30 +291,28 @@ def _check_word_budget(n: int, ceiling: int) -> None:
 
 def _verify_axioms(n: int = 14, ceiling: int = DEFAULT_WORD_CEILING):
     _check_word_budget(n, ceiling)
-    checked = 0
     for length in range(n + 1):
         for t in iter_words(length):
-            checked += 1
             hp, hm = statistics(t)
             wt = weight(t)
             if wt != hm - hp or wt != t.count(MINUS) - t.count(PLUS):
-                return checked, {"word": t, "violated": "weight"}
+                yield {"word": t, "violated": "weight"}
             up, down = e_tilde(t), f_tilde(t)
             if (up is None) != (hp == 0) or (down is None) != (hm == 0):
-                return checked, {"word": t, "violated": "definedness"}
+                yield {"word": t, "violated": "definedness"}
             if up is not None:
                 u, i = up
                 if f_tilde(u) != (t, i):
-                    return checked, {"word": t, "violated": "raise/lower inverse"}
+                    yield {"word": t, "violated": "raise/lower inverse"}
                 if statistics(u) != (hp - 1, hm + 1):
-                    return checked, {"word": t, "violated": "statistics shift"}
+                    yield {"word": t, "violated": "statistics shift"}
                 if weight(u) != wt + 2:
-                    return checked, {"word": t, "violated": "weight shift"}
+                    yield {"word": t, "violated": "weight shift"}
             if down is not None:
                 d, j = down
                 if e_tilde(d) != (t, j):
-                    return checked, {"word": t, "violated": "lower/raise inverse"}
-    return checked, None
+                    yield {"word": t, "violated": "lower/raise inverse"}
+            yield None
 
 
 def _verify_confluence(
@@ -325,28 +330,24 @@ def _verify_confluence(
     from . import naive
 
     rng = random.Random(seed)
-    checked = 0
     for length in range(n + 1):
         for t in iter_words(length):
             expected = reduced_form(t)
             for _ in range(trials):
-                checked += 1
                 got = naive.reduce_by_rewriting(t, rng)
                 if got != expected:
-                    return checked, {"word": t, "expected": expected, "got": got}
-    return checked, None
+                    yield {"word": t, "expected": expected, "got": got}
+                yield None
 
 
 def _verify_comb_lemma(n: int = 12, ceiling: int = DEFAULT_WORD_CEILING):
     _check_word_budget(n, ceiling)
-    checked = 0
     for length in range(1, n + 1):
         for t in iter_words(length):
-            checked += 1
             hs = [suffix_h_minus(t, k) for k in range(1, length + 2)]
             for a, b in zip(hs, hs[1:]):
                 if a < b:
-                    return checked, {"word": t, "l": None, "violated": "suffix monotonicity"}
+                    yield {"word": t, "l": None, "violated": "suffix monotonicity"}
             for l in range(1, length + 1):
                 if hs[l - 1] <= hs[l]:
                     continue
@@ -354,19 +355,19 @@ def _verify_comb_lemma(n: int = 12, ceiling: int = DEFAULT_WORD_CEILING):
                 flips = plus_flips(tbar)
                 for (_, u), (_, v) in zip(flips, flips[1:]):
                     if succ_compare(v, u) != 1:
-                        return checked, {"word": t, "l": l, "violated": "flip order"}
+                        yield {"word": t, "l": l, "violated": "flip order"}
                 j = next(idx for idx, (pos, _) in enumerate(flips) if pos == l)
                 if flips[j][1] != t:
-                    return checked, {"word": t, "l": l, "violated": "flip identification"}
+                    yield {"word": t, "l": l, "violated": "flip identification"}
                 if hs[l] + 1 != hs[l - 1]:
-                    return checked, {"word": t, "l": l, "violated": "claim 1"}
+                    yield {"word": t, "l": l, "violated": "claim 1"}
                 for idx in range(j):
                     if suffix_h_minus(flips[idx][1], l + 1) != hs[l]:
-                        return checked, {"word": t, "l": l, "violated": "claim 2"}
+                        yield {"word": t, "l": l, "violated": "claim 2"}
                 for idx in range(j + 1, len(flips)):
                     if suffix_h_minus(flips[idx][1], l + 1) < hs[l - 1] + 1:
-                        return checked, {"word": t, "l": l, "violated": "claim 3"}
-    return checked, None
+                        yield {"word": t, "l": l, "violated": "claim 3"}
+            yield None
 
 
 def _verify_boundary_invariance(
@@ -375,7 +376,6 @@ def _verify_boundary_invariance(
     # each check merges a boundary over all of the label's corners, so a
     # label costs its checks times its corners against the ceiling
     kind = params.class_kind
-    checked = 0
     work = Budget(
         ceiling,
         "boundary_invariance would rebuild more than {ceiling} boundary corners; "
@@ -393,14 +393,13 @@ def _verify_boundary_invariance(
                 x = boxes[k]
                 after = _merge(params, m.add_box(x), corner_table, (value,))
                 expected = sign[:k] + MINUS + sign[k + 1 :]
-                checked += 1
                 if after != [(value, boxes, expected)]:
-                    return checked, {
+                    yield {
                         "multipartition": m.to_lists(),
                         "box": list(x),
                         "class": [kind, value],
                     }
-    return checked, None
+                yield None
 
 
 def _verify_realization_consistency(
@@ -413,7 +412,6 @@ def _verify_realization_consistency(
     # corners plus its class's box count squared against the ceiling
     kappa = params.kappa if params.is_rational else None
     kind = params.class_kind
-    checked = 0
     work = Budget(
         ceiling,
         "realization_consistency would compare more than {ceiling} boundary entries; "
@@ -426,14 +424,13 @@ def _verify_realization_consistency(
         work.charge(sum(corners + len(boxes) ** 2 for _, boxes, _ in merged))
         for value, boxes, sign in merged:
             zp = (kind, value)
-            checked += 1
             for production, reference in (
                 (_step(m, boxes, sign, raising=True), naive.crystal_add(params.ell, kappa, params.charges, m.components, zp)),
                 (_step(m, boxes, sign, raising=False), naive.crystal_remove(params.ell, kappa, params.charges, m.components, zp)),
             ):
                 if not _same_step(production, reference):
-                    return checked, {"multipartition": m.to_lists(), "class": [kind, value]}
-    return checked, None
+                    yield {"multipartition": m.to_lists(), "class": [kind, value]}
+            yield None
 
 
 def _same_step(production, reference) -> bool:
@@ -461,26 +458,25 @@ def _verify_gl_realization(
     ).charge(weights * (p or max(entry_bound + 2, 0)))
     from . import naive
 
-    # each case reads its weight's word once and takes both steps from it;
-    # only the inverse checks read a stepped weight's word
-    checked = 0
+    # p is checked once, above, so every word goes through the unchecked
+    # _gl_read.  Each case reads its weight's word once and takes both steps
+    # from it; only the inverse checks read a stepped weight's word
     for w in itertools.combinations(range(entry_bound, -1, -1), n):
         for i in i_values:
-            checked += 1
-            _, positions, sign = _gl_word(w, i, p)
+            _, positions, sign = _gl_read(w, i, p)
             if (positions, sign) != naive.gl_sign(w, i, p):
-                return checked, {"weight": list(w), "i": i, "violated": "sign word"}
+                yield {"weight": list(w), "i": i, "violated": "sign word"}
             up = _gl_call(_gl_step, w, positions, sign, True)
             if up != naive.gl_add(w, i, p):
-                return checked, {"weight": list(w), "i": i, "violated": "raise"}
+                yield {"weight": list(w), "i": i, "violated": "raise"}
             down = _gl_call(_gl_step, w, positions, sign, False)
             if down != naive.gl_remove(w, i, p):
-                return checked, {"weight": list(w), "i": i, "violated": "lower"}
-            if isinstance(up, tuple) and _gl_call(gl_crystal_remove, up, i, p) != w:
-                return checked, {"weight": list(w), "i": i, "violated": "raise/lower inverse"}
-            if isinstance(down, tuple) and _gl_call(gl_crystal_add, down, i, p) != w:
-                return checked, {"weight": list(w), "i": i, "violated": "lower/raise inverse"}
-    return checked, None
+                yield {"weight": list(w), "i": i, "violated": "lower"}
+            if isinstance(up, tuple) and _gl_call(_gl_step, *_gl_read(up, i, p), False) != w:
+                yield {"weight": list(w), "i": i, "violated": "raise/lower inverse"}
+            if isinstance(down, tuple) and _gl_call(_gl_step, *_gl_read(down, i, p), True) != w:
+                yield {"weight": list(w), "i": i, "violated": "lower/raise inverse"}
+            yield None
 
 
 def _gl_call(fn, *args):
@@ -500,8 +496,8 @@ def _verify_depth_irrational(max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEI
     for m in multipartitions_up_to(1, max_boxes):
         labels.charge()
         if depth(params, m, memo) != m.size:
-            return labels.spent, {"multipartition": m.to_lists()}
-    return labels.spent, None
+            yield {"multipartition": m.to_lists()}
+        yield None
 
 
 # name -> runner; `verify`, the CLI's --suite choices and the tests read it

@@ -7,6 +7,9 @@ optional location hint; the CLI maps the classes to process exit codes
 
 from __future__ import annotations
 
+import contextlib
+import sys
+
 # the default bound on the work one computation may do, counted in its
 # own unit: graph nodes, walk steps, boundary corners, summed terms
 DEFAULT_NODE_CEILING = 2_000_000
@@ -15,6 +18,23 @@ DEFAULT_NODE_CEILING = 2_000_000
 def is_int(value) -> bool:
     """The one integer rule for inputs: an int, never a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's limit on int -> str digits inside the block.  Inputs keep
+    the limit, but a result or a message computed from them can be longer.
+    Python 3.10.0-3.10.6 has neither the limit nor its setter."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
 
 
 class CrystalError(Exception):
@@ -79,4 +99,6 @@ class Budget:
     def charge(self, n: int = 1) -> None:
         self.spent += n
         if self.spent > self.ceiling:
-            raise ResourceCeilingError(self.message.format(spent=self.spent, ceiling=self.ceiling))
+            with _any_int_digits():
+                message = self.message.format(spent=self.spent, ceiling=self.ceiling)
+            raise ResourceCeilingError(message)

@@ -279,13 +279,19 @@ def gl_word(weight, i: int, p: int) -> tuple[list[int], str]:
 
 
 def _gl_word(weight, i: int, p: int) -> tuple[tuple[int, ...], list[int], str]:
-    """The one entry of the dominant-weight side: check the weight, then p,
-    then i, and return (w, matching positions, their sign word).  An entry v
-    is '+' when v - i is 0 and '-' when it is 1, mod p for p > 0."""
+    """The one checked entry of the dominant-weight side: check the weight,
+    then p, then i, and return `_gl_read` of them."""
     w = check_dominant_weight(weight)
     _check_characteristic(p)
     if not is_int(i):
         raise ValidationError(f"class index must be an integer, got {i!r}")
+    return _gl_read(w, i, p)
+
+
+def _gl_read(w: tuple, i: int, p: int) -> tuple[tuple[int, ...], list[int], str]:
+    """(w, matching positions, their sign word) of a checked weight, class
+    index and characteristic.  An entry v is '+' when v - i is 0 and '-'
+    when it is 1, mod p for p > 0."""
     positions, parts = [], []
     for j, v in enumerate(w, 1):
         gap = v - i if p == 0 else (v - i) % p

@@ -306,6 +306,63 @@ class TestDepthSupport:
         assert data == {"n": 1, "e": "infinity", "i": 1, "j": 0}
 
 
+# the most digits Python lets a JSON input integer have, and what grows past it
+BIG_INPUT = "9" * 4300
+BIG_INPUT_PLUS_1 = "1" + "0" * 4300
+TWICE_BIG_INPUT = "1" + "9" * 4299 + "8"
+
+
+class TestLargeIntegers:
+    """Inputs keep Python's 4,300-digit limit; the CLI prints a result or a
+    message of any length, never a traceback."""
+
+    def test_gl_op_result(self, capsys):
+        argv = ["gl-op", "--op", "add", "--weight", f"[{BIG_INPUT}]", "--i", "4", "--p", "5"]
+        assert run_cli(capsys, *argv) == (0, f'{{"result": [{BIG_INPUT_PLUS_1}]}}\n')
+
+    def test_boundary_column(self, capsys):
+        code, out = run_cli(
+            capsys, "boundary", "--params", PARAMS_HALF, "--mp", f"[[{BIG_INPUT}]]",
+            "--class", '{"residue":1}',
+        )
+        assert code == 0
+        assert out == (
+            '{"class": {"residue": 1}, "entries": [{"box": {"c": 0, "col": 1, "row": 2}, '
+            '"kind": "addable", "sign": "+"}, {"box": {"c": 0, "col": ' + BIG_INPUT_PLUS_1
+            + ', "row": 1}, "kind": "addable", "sign": "+"}], "sign": "++"}\n'
+        )
+
+    def test_fock_op_result(self, capsys):
+        code, out = run_cli(
+            capsys, "fock-op", "--op", "add",
+            "--params", '{"ell":1,"kappa":"irrational","charges":[0]}',
+            "--mp", f"[[{BIG_INPUT}]]", "--class", f'{{"content":{BIG_INPUT}}}',
+        )
+        assert code == 0
+        assert out == (
+            f'{{"box": {{"c": 0, "col": {BIG_INPUT_PLUS_1}, "row": 1}}, '
+            f'"result": [[{BIG_INPUT_PLUS_1}]]}}\n'
+        )
+
+    @pytest.mark.parametrize("command", ["depth", "support"])
+    def test_depth_ceiling_message(self, capsys, command):
+        code, data = run_json(
+            capsys, command, "--params", PARAMS_HALF, "--mp", f"[[{BIG_INPUT},{BIG_INPUT}]]"
+        )
+        assert code == 4
+        assert data == {
+            "error": {
+                "code": "RESOURCE_CEILING",
+                "message": f"depth walks up to {TWICE_BIG_INPUT} steps, above the ceiling 2000000",
+            }
+        }
+
+    def test_input_past_the_limit_is_rejected(self, capsys):
+        code, data = run_json(capsys, "depth", "--params", PARAMS_HALF, "--mp", f"[[{BIG_INPUT}9]]")
+        assert code == 2
+        assert (data["error"]["code"], data["error"]["location"]) == ("VALIDATION", "mp")
+
+
 class TestGraph:
     def test_json_deterministic(self, capsys):
         args = ("graph", "--params", PARAMS_HALF, "--max-boxes", "3")

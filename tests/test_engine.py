@@ -1,13 +1,14 @@
 import hashlib
 import inspect
 import json
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from signcrystal import engine, realizations
+from signcrystal import engine, naive, realizations
 from signcrystal.engine import (
     DEFAULT_WORD_CEILING,
     SUITES,
@@ -148,6 +149,17 @@ class TestDepth:
         monkeypatch.setattr(engine, "DEFAULT_NODE_CEILING", 11)
         with pytest.raises(ResourceCeilingError, match="corners"):
             depth(P_IRR, Multipartition(((2, 1),)))
+
+    def test_size_past_the_digit_limit_hits_the_ceiling(self):
+        # the message prints the size in full, longer than Python lets an
+        # int become a str, and the limit is back in place afterwards
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        with pytest.raises(ResourceCeilingError) as raised:
+            depth(P_HALF, Multipartition(((10**4300, 10**4300),)))
+        assert raised.value.message == (
+            f"depth walks up to 2{'0' * 4300} steps, above the ceiling 2000000"
+        )
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     @pytest.mark.parametrize("kappa", WALK_KAPPAS, ids=str)
     @pytest.mark.parametrize("charges, max_boxes", WALK_CHARGES, ids=str)
@@ -505,6 +517,13 @@ class TestVerify:
         assert report.passed and report.checked == 378
         assert len(reads) <= 3 * report.checked
 
+    @pytest.mark.parametrize("p, tests", [(3, 1), (0, 0)])
+    def test_gl_realization_decides_p_once(self, monkeypatch, p, tests):
+        calls, is_prime = [], realizations._is_prime
+        monkeypatch.setattr(realizations, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert verify("gl_realization", n=4, p=p, entry_bound=8).passed
+        assert len(calls) == tests
+
     @pytest.mark.parametrize(
         "bounds",
         [
@@ -562,6 +581,7 @@ class TestVerify:
         assert [suite for suite, _, _ in REPORT_BOUNDS] == list(SUITES)
         for runner in SUITES.values():
             assert "ceiling" in inspect.signature(runner).parameters
+            assert inspect.isgeneratorfunction(runner)
 
     def test_confluence_ceiling_counts_rewrites(self):
         # 2^4 - 1 = 15 words of length 0..3, each rewritten 5 times
@@ -586,6 +606,124 @@ class TestVerify:
         assert 2**15 > DEFAULT_WORD_CEILING
         with pytest.raises(ResourceCeilingError):
             verify("axioms", n=10**18)
+
+
+def _stale_memo(real):
+    # right on its first call for a word, and one too high in the index on
+    # every repeat, as a memo that stored the index wrongly would be
+    seen = set()
+
+    def planted(t):
+        step = real(t)
+        if t in seen and step is not None:
+            return step[0], step[1] + 1
+        seen.add(t)
+        return step
+
+    return planted
+
+
+def _undercounts_other_suffixes(real):
+    # one too low on a suffix that differs from the same suffix of the word
+    # last read from position 1, the case word: claim 3's flipped words
+    case = [""]
+
+    def planted(t, k):
+        if k == 1:
+            case[0] = t
+        return real(t, k) - (t[k - 1 :] != case[0][k - 1 :])
+
+    return planted
+
+
+P_THIRD2 = Params(2, Fraction(1, 3), (0, 1))
+GL = {"n": 2, "p": 3, "entry_bound": 4}
+
+
+def _fault(suite, bounds, module, name, make, checked, counterexample, id):
+    """One planted fault: module.name becomes make(the original)."""
+    return pytest.param(suite, bounds, module, name, make, checked, counterexample, id=id)
+
+
+# one planted fault per counterexample site of every suite, with the
+# exact report it gives
+PLANTED_FAULTS = [
+    _fault("axioms", {"n": 4}, engine, "weight", lambda real: lambda t: real(t) + (len(t) == 3),
+           8, {"word": "+++", "violated": "weight"}, "axioms weight"),
+    _fault("axioms", {"n": 4}, engine, "e_tilde", lambda real: lambda t: None,
+           2, {"word": "+", "violated": "definedness"}, "axioms definedness"),
+    _fault("axioms", {"n": 4}, engine, "f_tilde", lambda real: lambda t: None,
+           2, {"word": "+", "violated": "raise/lower inverse"}, "axioms raise/lower inverse"),
+    _fault("axioms", {"n": 4}, engine, "statistics",
+           lambda real: lambda t: (real(t)[0], real(t)[1] + t.startswith("-")),
+           2, {"word": "+", "violated": "statistics shift"}, "axioms statistics shift"),
+    _fault("axioms", {"n": 4}, engine, "weight", lambda real: lambda t: real(t) + t.startswith("-"),
+           2, {"word": "+", "violated": "weight shift"}, "axioms weight shift"),
+    _fault("axioms", {"n": 4}, engine, "e_tilde", _stale_memo,
+           3, {"word": "-", "violated": "lower/raise inverse"}, "axioms lower/raise inverse"),
+    _fault("confluence", {"n": 4, "trials": 2}, naive, "reduce_by_rewriting",
+           lambda real: lambda t, rng: t if len(t) >= 3 else real(t, rng),
+           19, {"word": "+-+", "expected": "+00", "got": "+-+"}, "confluence"),
+    _fault("comb_lemma", {"n": 4}, engine, "suffix_h_minus",
+           lambda real: lambda t, k: real(t, k) + (k == 2 and len(t) == 3),
+           7, {"word": "+++", "l": None, "violated": "suffix monotonicity"}, "comb_lemma monotonicity"),
+    _fault("comb_lemma", {"n": 4}, engine, "succ_compare", lambda real: lambda a, b: 0,
+           4, {"word": "+-", "l": 2, "violated": "flip order"}, "comb_lemma flip order"),
+    _fault("comb_lemma", {"n": 4}, engine, "plus_flips",
+           lambda real: lambda t: [(i, t) for i, _ in real(t)] if t.count("+") == 1 else real(t),
+           2, {"word": "-", "l": 1, "violated": "flip identification"}, "comb_lemma flip identification"),
+    _fault("comb_lemma", {"n": 4}, engine, "suffix_h_minus",
+           lambda real: lambda t, k: real(t, k) + (k == 1 and t.startswith("-")),
+           2, {"word": "-", "l": 1, "violated": "claim 1"}, "comb_lemma claim 1"),
+    _fault("comb_lemma", {"n": 4}, engine, "suffix_h_minus",
+           lambda real: lambda t, k: real(t, k) + (k == len(t) + 1 and t.startswith("-")),
+           4, {"word": "+-", "l": 2, "violated": "claim 2"}, "comb_lemma claim 2"),
+    _fault("comb_lemma", {"n": 4}, engine, "suffix_h_minus", _undercounts_other_suffixes,
+           13, {"word": "--+", "l": 1, "violated": "claim 3"}, "comb_lemma claim 3"),
+    _fault("boundary_invariance", {"params": P_THIRD2, "max_boxes": 3}, engine, "MINUS",
+           lambda real: "+",
+           1, {"multipartition": [[], []], "box": [0, 1, 1], "class": ["residue", 0]},
+           "boundary_invariance"),
+    _fault("realization_consistency", {"params": P_THIRD2, "max_boxes": 3}, engine, "_step",
+           lambda real: lambda m, boxes, sign, raising: (
+               None if m.size == 2 else real(m, boxes, sign, raising)
+           ),
+           9, {"multipartition": [[], [2]], "class": ["residue", 0]}, "realization_consistency"),
+    _fault("gl_realization", GL, naive, "gl_sign",
+           lambda real: lambda w, i, p: ([], "") if i == 2 else real(w, i, p),
+           3, {"weight": [4, 3], "i": 2, "violated": "sign word"}, "gl_realization sign word"),
+    _fault("gl_realization", GL, naive, "gl_add", lambda real: lambda w, i, p: None,
+           2, {"weight": [4, 3], "i": 1, "violated": "raise"}, "gl_realization raise"),
+    _fault("gl_realization", GL, naive, "gl_remove", lambda real: lambda w, i, p: None,
+           3, {"weight": [4, 3], "i": 2, "violated": "lower"}, "gl_realization lower"),
+    # the inverse checks step from a stepped weight: one above the entry
+    # bound after a raise, or below 0 after a lower, where no case weight lies
+    _fault("gl_realization", GL, engine, "_gl_step",
+           lambda real: lambda w, positions, sign, raising: (
+               None if not raising and max(w) > 4 else real(w, positions, sign, raising)
+           ),
+           2, {"weight": [4, 3], "i": 1, "violated": "raise/lower inverse"},
+           "gl_realization raise/lower inverse"),
+    _fault("gl_realization", GL, engine, "_gl_step",
+           lambda real: lambda w, positions, sign, raising: (
+               None if raising and min(w) < 0 else real(w, positions, sign, raising)
+           ),
+           12, {"weight": [4, 0], "i": 2, "violated": "lower/raise inverse"},
+           "gl_realization lower/raise inverse"),
+    _fault("depth_irrational", {"max_boxes": 4}, engine, "depth",
+           lambda real: lambda params, m, memo: real(params, m, memo) - (m.size == 3),
+           5, {"multipartition": [[3]]}, "depth_irrational"),
+]
+
+
+@pytest.mark.parametrize("suite, bounds, module, name, make, checked, counterexample", PLANTED_FAULTS)
+def test_planted_fault_is_caught(monkeypatch, suite, bounds, module, name, make, checked, counterexample):
+    """Each suite fails on a planted fault, counting the cases it started up
+    to and including the first counterexample."""
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    report = verify(suite, **bounds)
+    assert report.passed is False
+    assert (report.checked, report.counterexample) == (checked, counterexample)
 
 
 def _depth_at_ceiling(monkeypatch, ceiling):

@@ -36,16 +36,16 @@ from signcrystal.young import BoxRef, Multipartition, multipartitions_up_to
 from test_young import corner_boxes
 
 def count_gl_reads(monkeypatch, *modules):
-    """Route every `_gl_word` call, in realizations and in `modules`, through
+    """Route every `_gl_read` call, in realizations and in `modules`, through
     a counter; returns the list that gets one entry per word read."""
-    reads, entry = [], realizations._gl_word
+    reads, entry = [], realizations._gl_read
 
     def counting(*args):
         reads.append(args)
         return entry(*args)
 
     for module in (realizations, *modules):
-        monkeypatch.setattr(module, "_gl_word", counting)
+        monkeypatch.setattr(module, "_gl_read", counting)
     return reads
 
 
