@@ -407,9 +407,10 @@ def _verify_realization_consistency(
 ):
     from . import naive
 
-    # naive scans all of the label's corners for each class, insertion-sorts
-    # the class and reduces its word pair by pair: a check costs the label's
-    # corners plus its class's box count squared against the ceiling
+    # naive builds the label's cells once; for each class it filters all of
+    # them, insertion-sorts the class and reduces its word pair by pair, so
+    # each class costs the label's corners plus its box count squared
+    # against the ceiling
     kappa = params.kappa if params.is_rational else None
     kind = params.class_kind
     work = Budget(
@@ -422,14 +423,20 @@ def _verify_realization_consistency(
         merged = _merge(params, m, corner_table, None)
         corners = sum(len(boxes) for _, boxes, _ in merged)
         work.charge(sum(corners + len(boxes) ** 2 for _, boxes, _ in merged))
+        steps = naive.crystal_steps(params.ell, kappa, params.charges, m.components)
+        classes = {(kind, value) for value, _, _ in merged}
+        if steps.keys() != classes:
+            yield {
+                "multipartition": m.to_lists(),
+                "classes": [list(z) for z in sorted(steps.keys() ^ classes)],
+            }
         for value, boxes, sign in merged:
-            zp = (kind, value)
-            for production, reference in (
-                (_step(m, boxes, sign, raising=True), naive.crystal_add(params.ell, kappa, params.charges, m.components, zp)),
-                (_step(m, boxes, sign, raising=False), naive.crystal_remove(params.ell, kappa, params.charges, m.components, zp)),
+            add, remove = steps[kind, value]
+            if not (
+                _same_step(_step(m, boxes, sign, raising=True), add)
+                and _same_step(_step(m, boxes, sign, raising=False), remove)
             ):
-                if not _same_step(production, reference):
-                    yield {"multipartition": m.to_lists(), "class": [kind, value]}
+                yield {"multipartition": m.to_lists(), "class": [kind, value]}
             yield None
 
 
@@ -493,8 +500,14 @@ def _verify_depth_irrational(max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEI
         ceiling,
         "depth_irrational would visit more than {ceiling} labels; raise the ceiling to proceed",
     )
+    size = 0
     for m in multipartitions_up_to(1, max_boxes):
         labels.charge()
+        if m.size != size:
+            # every label one size down is in the memo, and a walk stops at
+            # the first label it finds there: older sizes are never read again
+            size = m.size
+            memo = {label: d for label, d in memo.items() if label.size == size - 1}
         if depth(params, m, memo) != m.size:
             yield {"multipartition": m.to_lists()}
         yield None

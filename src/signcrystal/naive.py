@@ -6,31 +6,34 @@ explicit step-by-step rewriting for word reduction, cell-set arithmetic
 for diagrams, direct Fraction comparisons for the d-ordering.  It works
 on plain data (strings, nested tuples, Fractions) and must never be
 imported by the operator modules it double-checks.
+
+`crystal_steps` builds a label's addable and removable cells once and
+answers every class the label meets from them; `crystal_add` and
+`crystal_remove` answer one class through the same entry and step code.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
+import re
 
-def rewrite_sites(word) -> list[tuple[int, int]]:
+_SITE = re.compile(r"-0*\+")
+
+
+def rewrite_sites(word: str) -> list[tuple[int, int]]:
     """0-based (a, b) where a '-' and a later '+' see only '0' between."""
-    live = [k for k, sym in enumerate(word) if sym != "0"]
-    sites = []
-    for a, b in zip(live, live[1:]):
-        if word[a] == "-" and word[b] == "+":
-            sites.append((a, b))
-    return sites
+    return [(site.start(), site.end() - 1) for site in _SITE.finditer(word)]
 
 
 def reduce_by_rewriting(t: str, rng=None) -> str:
     """Apply the cancellation rule until stuck; rng picks the site if given."""
-    word = list(t)
+    word = t
     while True:
         sites = rewrite_sites(word)
         if not sites:
-            return "".join(word)
+            return word
         a, b = sites[0] if rng is None else rng.choice(sites)
-        word[a] = "0"
-        word[b] = "0"
+        word = word[:a] + "0" + word[a + 1:b] + "0" + word[b + 1:]
 
 
 def raise_word(t: str) -> tuple[str, int] | None:
@@ -118,19 +121,30 @@ def d_comes_before(kappa, ell, charges, box1, box2) -> bool:
     return d1 < d2
 
 
-def boundary_entries(ell, kappa, charges, components, z):
-    """((comp, row, col), kind) pairs of one class, insertion-sorted by d."""
-    entries = []
+def boundary_cells(ell, components):
+    """((comp, row, col), kind) for each addable, then each removable cell,
+    component by component."""
+    cells = []
     for comp in range(ell):
         rows = components[comp]
-        for (r, c) in addable_cells(rows):
-            if in_class(kappa, charges, comp, r, c, z):
-                entries.append(((comp, r, c), "addable"))
-        for (r, c) in removable_cells(rows):
-            if in_class(kappa, charges, comp, r, c, z):
-                entries.append(((comp, r, c), "removable"))
+        cells += [((comp, r, c), "addable") for (r, c) in addable_cells(rows)]
+        cells += [((comp, r, c), "removable") for (r, c) in removable_cells(rows)]
+    return cells
+
+
+def class_of(kappa, charges, comp, row, col):
+    cont = shifted_content(charges, comp, row, col)
+    if kappa is None:
+        return ("content", cont)
+    return ("residue", cont % kappa.denominator)
+
+
+def class_entries(ell, kappa, charges, cells, z):
+    """The ((comp, row, col), kind) cells of class z, insertion-sorted by d."""
     ordered = []
-    for entry in entries:
+    for entry in cells:
+        if not in_class(kappa, charges, *entry[0], z):
+            continue
         k = 0
         while k < len(ordered) and d_comes_before(kappa, ell, charges, ordered[k][0], entry[0]):
             k += 1
@@ -142,26 +156,41 @@ def sign_of(entries) -> str:
     return "".join("+" if kind == "addable" else "-" for _, kind in entries)
 
 
-def crystal_add(ell, kappa, charges, components, z):
-    entries = boundary_entries(ell, kappa, charges, components, z)
-    step = raise_word(sign_of(entries))
+def class_step(components, entries, grow):
+    """Add the cell at the raising flip of the class's word (grow), or
+    remove the cell at its lowering flip; None when there is no flip."""
+    word = sign_of(entries)
+    step = raise_word(word) if grow else lower_word(word)
     if step is None:
         return None
     (comp, r, c), _ = entries[step[1] - 1]
-    new_rows = rows_of(cells_of(components[comp]) | {(r, c)})
+    cells = cells_of(components[comp])
+    new_rows = rows_of(cells | {(r, c)} if grow else cells - {(r, c)})
     comps = components[:comp] + (new_rows,) + components[comp + 1:]
     return comps, (comp, r, c)
+
+
+def crystal_add(ell, kappa, charges, components, z):
+    entries = class_entries(ell, kappa, charges, boundary_cells(ell, components), z)
+    return class_step(components, entries, True)
 
 
 def crystal_remove(ell, kappa, charges, components, z):
-    entries = boundary_entries(ell, kappa, charges, components, z)
-    step = lower_word(sign_of(entries))
-    if step is None:
-        return None
-    (comp, r, c), _ = entries[step[1] - 1]
-    new_rows = rows_of(cells_of(components[comp]) - {(r, c)})
-    comps = components[:comp] + (new_rows,) + components[comp + 1:]
-    return comps, (comp, r, c)
+    entries = class_entries(ell, kappa, charges, boundary_cells(ell, components), z)
+    return class_step(components, entries, False)
+
+
+def crystal_steps(ell, kappa, charges, components):
+    """{class: (crystal_add, crystal_remove)} for every class that one of
+    the label's cells meets, from one build of its cells."""
+    cells = boundary_cells(ell, components)
+    steps = {}
+    for (comp, r, c), _ in cells:
+        z = class_of(kappa, charges, comp, r, c)
+        if z not in steps:
+            entries = class_entries(ell, kappa, charges, cells, z)
+            steps[z] = (class_step(components, entries, True), class_step(components, entries, False))
+    return steps
 
 
 def gl_sign(weight, i, p):

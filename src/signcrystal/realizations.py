@@ -25,7 +25,7 @@ from .errors import (
 )
 from .params import Params, ZClass
 from .signstrings import MINUS, PLUS, _flip_at, check_sign_string
-from .young import BoxRef, Multipartition, Partition, corners
+from .young import BoxRef, Multipartition, Partition, check_partition, corners
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,20 @@ def class_member(params: Params, m: Multipartition, z: ZClass, word: str) -> Mul
 def _member(m: Multipartition, boxes: tuple, word: str) -> Multipartition:
     """m's class member whose word on the class boxes `boxes` is `word`, in one
     pass: the boxes lie in distinct rows, and a row through a box ends at it
-    when the word marks it '-' and just before it when '+'."""
-    rows = [list(part) for part in m.components]
+    when the word marks it '-' and just before it when '+'.  Only the
+    components the boxes lie in are rebuilt and checked; the others are m's."""
+    comps = list(m.components)
+    changed: dict[int, list] = {}
     for box, sym in zip(boxes, word):
-        row = rows[box.comp]
+        row = changed.get(box.comp)
+        if row is None:
+            row = changed[box.comp] = list(comps[box.comp])
         if box.row > len(row):  # an addable box opening a new row
             row.append(0)
         row[box.row - 1] = box.col if sym == MINUS else box.col - 1
-    return Multipartition(tuple(rows))
+    for comp, row in changed.items():
+        comps[comp] = check_partition(row)
+    return Multipartition._from_canonical(tuple(comps))
 
 
 def crystal_add(params: Params, m: Multipartition, z: ZClass) -> tuple[Multipartition, BoxRef] | None:

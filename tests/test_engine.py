@@ -1,6 +1,8 @@
 import hashlib
 import inspect
+import itertools
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -546,6 +548,20 @@ class TestVerify:
     def test_depth_irrational(self):
         assert verify("depth_irrational", max_boxes=6).passed
 
+    def test_depth_irrational_keeps_one_size_of_depths(self, monkeypatch):
+        # a label's walk ends one size down, so the shared memo never holds
+        # a label two sizes below the one asked about
+        gaps, real = [], engine.depth
+
+        def spy(params, m, memo):
+            gaps.append(m.size - min((label.size for label in memo), default=m.size))
+            return real(params, m, memo)
+
+        monkeypatch.setattr(engine, "depth", spy)
+        report = verify("depth_irrational", max_boxes=8)
+        assert (report.passed, report.checked) == (True, 67)
+        assert max(gaps) == 1
+
     def test_unknown_suite(self):
         with pytest.raises(ValidationError):
             verify("nonsense")
@@ -606,6 +622,60 @@ class TestVerify:
         assert 2**15 > DEFAULT_WORD_CEILING
         with pytest.raises(ResourceCeilingError):
             verify("axioms", n=10**18)
+
+
+def _words(alphabet, longest):
+    for length in range(longest + 1):
+        yield from map("".join, itertools.product(alphabet, repeat=length))
+
+
+class _Drawn(random.Random):
+    """A Random that records what `choice` returns."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = []
+
+    def choice(self, seq):
+        self.drawn.append(super().choice(seq))
+        return self.drawn[-1]
+
+
+class TestNaiveReference:
+    """The naive reference against the test oracles, on every small input."""
+
+    def test_rewrite_sites(self):
+        for t in _words("+-0", 7):
+            assert naive.rewrite_sites(t) == oracles.applicable_pairs(list(t))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_rewriting_draws_the_same_sites(self, seed):
+        # one stream per side across all words, as the confluence suite
+        # draws; every word reduces to one form, so the drawn sites are
+        # compared too
+        ours, theirs = _Drawn(seed), _Drawn(seed)
+        for t in itertools.chain(_words("+-0", 7), _words("+-", 10)):
+            assert naive.reduce_by_rewriting(t, ours) == oracles.reduce_random(t, theirs)
+        assert ours.drawn == theirs.drawn
+
+    @pytest.mark.parametrize(
+        "ell, kappa, charges, max_boxes",
+        [(2, Fraction(1, 3), (0, 1), 5), (3, None, (0, 1, 2), 4)],
+    )
+    def test_crystal_steps(self, ell, kappa, charges, max_boxes):
+        for m in multipartitions_up_to(ell, max_boxes):
+            comps = m.components
+            steps = naive.crystal_steps(ell, kappa, charges, comps)
+            assert sorted(steps) == oracles.oracle_classes(kappa, charges, comps)
+            for z, got in steps.items():
+                assert got == (
+                    oracles.oracle_add(kappa, ell, charges, comps, z),
+                    oracles.oracle_remove(kappa, ell, charges, comps, z),
+                )
+                assert got == (
+                    naive.crystal_add(ell, kappa, charges, comps, z),
+                    naive.crystal_remove(ell, kappa, charges, comps, z),
+                )
 
 
 def _stale_memo(real):
@@ -689,6 +759,13 @@ PLANTED_FAULTS = [
                None if m.size == 2 else real(m, boxes, sign, raising)
            ),
            9, {"multipartition": [[], [2]], "class": ["residue", 0]}, "realization_consistency"),
+    _fault("realization_consistency", {"params": P_THIRD2, "max_boxes": 3}, naive, "crystal_steps",
+           lambda real: lambda ell, kappa, charges, comps: {
+               z: steps for z, steps in real(ell, kappa, charges, comps).items()
+               if z != ("residue", 0) or sum(map(sum, comps)) != 2
+           },
+           9, {"multipartition": [[], [2]], "classes": [["residue", 0]]},
+           "realization_consistency class set"),
     _fault("gl_realization", GL, naive, "gl_sign",
            lambda real: lambda w, i, p: ([], "") if i == 2 else real(w, i, p),
            3, {"weight": [4, 3], "i": 2, "violated": "sign word"}, "gl_realization sign word"),

@@ -293,6 +293,38 @@ class TestClassMember:
         assert time.perf_counter() - start < 1.0
         assert member == Multipartition(((1,),) * ell)
 
+    def test_checks_only_the_components_the_class_touches(self, monkeypatch):
+        # distinct charges put content 0 on component 0 alone
+        calls, check = [], realizations.check_partition
+        monkeypatch.setattr(realizations, "check_partition", lambda rows: calls.append(rows) or check(rows))
+        ell = 20_000
+        p = Params(ell, IRRATIONAL, tuple(range(ell)))
+        empty = Multipartition(((),) * ell)
+        one = Multipartition(((1,),) + ((),) * (ell - 1))
+        z = ZClass("content", 0)
+        assert class_member(p, empty, z, "-") == one
+        assert class_representative(p, one, z) == empty
+        assert calls == [[1], [0]]
+
+    def test_members_match_the_oracle(self):
+        # each word's member is m with every flipped class box added or
+        # removed by the oracle; the representative is the all-'+' member
+        from signcrystal.signstrings import iter_words
+
+        for p in wide_param_sets():
+            for m in multipartitions_up_to(p.ell, 3):
+                for z in sorted(boundaries(p, m)):
+                    b = boundary(p, m, z)
+                    for word in iter_words(len(b)):
+                        comps = m.components
+                        for box, was, now in zip(b.boxes, b.sign, word):
+                            if was != now:
+                                apply = oracles.apply_add if now == "-" else oracles.apply_remove
+                                comps = apply(comps, tuple(box))
+                        assert class_member(p, m, z, word).components == comps
+                        if word == "+" * len(b):
+                            assert class_representative(p, m, z).components == comps
+
     def test_bijection_small(self):
         from signcrystal.signstrings import iter_words
 
