@@ -160,8 +160,8 @@ def build_graph(
     """
     if not is_int(max_boxes) or max_boxes < 0:
         raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
-    if node_ceiling < 0:
-        raise ValidationError(f"node_ceiling must be nonnegative, got {node_ceiling}")
+    if not is_int(node_ceiling) or node_ceiling < 0:
+        raise ValidationError(f"node_ceiling must be a nonnegative integer, got {node_ceiling!r}")
     allowed = only = None
     if classes is not None:
         allowed = tuple(sorted({params.coerce_class(z) for z in classes}))

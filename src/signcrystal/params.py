@@ -9,13 +9,20 @@ residue or content.  The d-function
 
     d(box) = kappa * (ell * cont(box) - sum(charges)) - component
 
-orders the boxes of one class.  `realizations` compares it through an
-integer key: a * (ell * cont - sum(charges)) - e * component, which is
-e * d, for kappa = a/e; -component for irrational kappa, where the rest
-of d is constant on a class.  Two boxes of one class with equal keys are
-a d-tie (DTieError).  So class membership and d-comparisons never touch
-floating point.  Floats appear only in the numeric converters at the
-bottom of this module.
+orders the boxes of one class.  `realizations` compares it through the
+integer key sign(kappa) * ell * cont - component, with sign 0 for
+irrational kappa, so the order on a class is lexicographic: sign(kappa) *
+content first, then -component.  Take boxes x and y of components j and
+k in one class, kappa = a/e.  Their contents differ by e * t, so d(x) -
+d(y) = a * ell * t - (j - k) and the keys differ by sign(a) * ell * e * t -
+(j - k).  If t != 0 both first terms outweigh |j - k| < ell, and both
+differences have the sign of a * t; if t = 0 both are k - j.  For
+irrational kappa one class is one content and both differences are k - j.
+One diagonal of one component holds at most one corner, so two boxes of
+one class never share a key: an equal pair (DTieError) means corrupted
+parameters.  Neither |kappa| nor the charge sum enters the order, and
+class membership and d-comparisons never touch floating point.  Floats
+appear only in the numeric converters at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -89,10 +96,6 @@ class Params:
     def e(self) -> int | None:
         """Quantum characteristic: denominator of kappa, None for infinity."""
         return self.kappa.denominator if self.is_rational else None
-
-    @property
-    def charge_sum(self) -> int:
-        return sum(self.charges)
 
     @property
     def class_kind(self) -> str:

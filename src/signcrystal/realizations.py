@@ -66,16 +66,12 @@ def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
     """Every nonempty class boundary of m, in class order; the keys are the
     classes m meets.
 
-    Each component's addable and removable boxes get their class and an
-    integer key.  For kappa = a/e in lowest terms the class is cont mod e
-    and the key is a * (ell * cont - sum(charges)) - e * component, which
-    is e * d(box).  For irrational kappa the class is cont itself and the
-    key is -component: ell * cont - sum(charges) is constant on a class,
-    so -component is d(box) up to that constant.  The boundary merges
-    those corners class by class and sorts each class by key.  Within one
-    class the key difference of two boxes is exactly e * (d(y) - d(x)), or
-    d(y) - d(x) itself, so two equal adjacent keys are two boxes with one
-    d-value: a DTieError, unreachable for valid parameters.
+    Each component's addable and removable boxes get their class and the
+    integer key sign(kappa) * ell * cont - component (`_corners`); the
+    boundary merges those corners class by class and sorts each class by
+    key.  The key orders a class as d does, and no two boxes of one class
+    share it (see `params`), so two equal adjacent keys are a DTieError,
+    which only corrupted parameters reach.
     """
     table = {}
     for value, boxes, sign in _merge(params, m, {}, None):
@@ -85,23 +81,19 @@ def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
 
 
 def _corners(params: Params, comp: int, rows: Partition) -> list:
-    """(d-key, class value, box, symbol) for each addable, then each
-    removable, box of component `comp` with rows `rows`: e * d and cont
-    mod e for kappa = a/e, and for irrational kappa the same formula with
-    a = 0 and no modulus, so -comp and cont."""
+    """(key, class value, box, symbol) for each addable, then each
+    removable, box of component `comp` with rows `rows`.  The key is
+    scale * cont - comp with scale = sign(kappa) * ell, and 0 for
+    irrational kappa; the class value is cont mod e, or cont itself."""
     charge, den = params.charges[comp], params.e
-    if den is None:
-        scale, shift = 0, comp
-    else:
-        num = params.kappa.numerator
-        scale, shift = num * params.ell, num * params.charge_sum + den * comp
+    scale = 0 if den is None else ((params.kappa > 0) - (params.kappa < 0)) * params.ell
     addable, removable = corners(rows)
     found, make_box = [], BoxRef._make
     for sym, boxes in ((PLUS, addable), (MINUS, removable)):
         for row, col in boxes:
             cont = charge + col - row
             value = cont if den is None else cont % den
-            found.append((scale * cont - shift, value, make_box((comp, row, col)), sym))
+            found.append((scale * cont - comp, value, make_box((comp, row, col)), sym))
     return found
 
 

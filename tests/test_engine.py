@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from signcrystal import engine, naive, realizations
@@ -33,7 +34,7 @@ from signcrystal.realizations import (
 from signcrystal.serialize import graph_to_dot, graph_to_json
 from signcrystal.signstrings import minus_flips, plus_flips, statistics, weight
 from signcrystal.young import Multipartition, multipartitions_up_to
-from test_realizations import count_gl_reads, wide_param_sets
+from test_realizations import count_gl_reads, wide_labels, wide_param_sets
 
 HALF = Fraction(1, 2)
 P_HALF = Params(1, HALF, (0,))
@@ -97,6 +98,13 @@ class TestDepth:
                 assert depth(p, m, memo) == oracles.oracle_depth(
                     raw_kappa, ell, p.charges, m.components, oracle_memo
                 )
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(wide_labels(max_ell=3, max_boxes=6))
+    def test_wide_parameters_match_oracle(self, drawn):
+        p, m = drawn
+        kappa = p.kappa if p.is_rational else None
+        assert depth(p, m) == oracles.oracle_depth(kappa, p.ell, p.charges, m.components)
 
     def test_memo_shared(self):
         memo = {}
@@ -383,11 +391,36 @@ class TestGraph:
         build_graph(Params(3, Fraction(1, 3), (0, 1, 2)), 12)
         assert len(calls) == len(set(calls)) == 585
 
+    @pytest.mark.parametrize(
+        "charges, max_boxes, kappas, edge_count",
+        [
+            ((0, 1), 8, ((1, 3), (2, 3), (4, 3), (7, 3), (100, 3)), 512),
+            ((0, 1), 8, ((-1, 3), (-2, 3), (-5, 3)), 512),
+            ((0, 1, 3), 6, ((1, 5), (2, 5), (3, 5), (12, 5)), 598),
+            ((0, 4, -2), 6, ((-1, 2), (-3, 2), (-9, 2)), 330),
+        ],
+        ids=["1/3", "-1/3", "1/5", "-1/2"],
+    )
+    def test_kappa_magnitude_does_not_matter(self, charges, max_boxes, kappas, edge_count):
+        # the class order reads e and the sign of kappa, never |kappa|
+        ell = len(charges)
+        graphs = [build_graph(Params(ell, Fraction(*k), charges), max_boxes) for k in kappas]
+        first = graphs[0]
+        assert len(first.edges) == edge_count
+        for g in graphs[1:]:
+            assert g.nodes == first.nodes and g.edges == first.edges
+
+    def test_kappa_sign_matters(self):
+        plus, minus = (build_graph(Params(2, Fraction(a, 3), (0, 1)), 8) for a in (1, -1))
+        assert plus.nodes == minus.nodes and plus.edges != minus.edges
+
     def test_node_ceiling(self):
         with pytest.raises(ResourceCeilingError):
             build_graph(P_HALF, 6, node_ceiling=3)
-        with pytest.raises(ValidationError, match="node_ceiling"):
-            build_graph(P_HALF, 2, node_ceiling=-1)
+        # the one integer rule: neither a negative, a float, a string nor None
+        for bad in (-1, 1.5, "3", None):
+            with pytest.raises(ValidationError, match="node_ceiling must be a nonnegative integer"):
+                build_graph(P_HALF, 2, node_ceiling=bad)
         # the ceiling counts components, nodes x ell: 8 nodes of 2 at 2 boxes
         p = Params(2, IRRATIONAL, (0, 1))
         assert len(build_graph(p, 2, node_ceiling=16).nodes) == 8

@@ -147,6 +147,7 @@ KAPPA = {"num": 1, "den": 2}
         (lambda: check_dominant_weight((True, 0)), "weight entries must be integers, got True"),
         (lambda: gl_word((3, 2), 0, True), "characteristic must be 0 or a prime, got True"),
         (lambda: build_graph(P, True), "max_boxes must be a nonnegative integer, got True"),
+        (lambda: build_graph(P, 1, node_ceiling=True), "node_ceiling must be a nonnegative integer, got True"),
         (
             lambda: params_from_json({"kappa": {"num": True, "den": 2}, "charges": [0]}),
             "kappa needs integer num and nonzero integer den",
@@ -164,7 +165,7 @@ KAPPA = {"num": 1, "den": 2}
     ],
     ids=[
         "params_ell", "params_charge", "partition_row", "weight_entry", "characteristic",
-        "max_boxes", "json_num", "json_den", "json_charge", "json_ell", "json_class",
+        "max_boxes", "node_ceiling", "json_num", "json_den", "json_charge", "json_ell", "json_class",
     ],
 )
 def test_bool_is_not_an_integer(call, message):
@@ -176,14 +177,18 @@ def test_bool_is_not_an_integer(call, message):
 
 
 class TestDDiff:
-    """d-differences read off the kernel's keys: e * d, or -component."""
+    """d-differences read off the kernel's keys: a key difference has the
+    sign of the d-difference, and for irrational kappa it is the
+    d-difference, -component."""
 
     def test_rational(self):
-        p = Params(1, HALF, (0,))
-        keys = kernel_corners(p, Multipartition(((1,),)))
         x, y = BoxRef(0, 1, 2), BoxRef(0, 2, 1)  # contents 1 and -1
-        assert keys[x][1] == keys[y][1]
-        assert keys[x][0] - keys[y][0] == p.e * 1  # d(x) - d(y) = 1
+        for kappa in (HALF, Fraction(3, 2), Fraction(-1, 2), Fraction(-5, 2)):
+            keys = kernel_corners(Params(1, kappa, (0,)), Multipartition(((1,),)))
+            assert keys[x][1] == keys[y][1]
+            # d(x) - d(y) = kappa * ell * (1 - (-1)), of kappa's sign
+            assert (keys[x][0] > keys[y][0]) == (kappa > 0)
+            assert keys[x][0] != keys[y][0]
 
     def test_zero_on_equal_box(self):
         # a box's key is its own: addable in one label, removable in the next

@@ -1,3 +1,4 @@
+import itertools
 import time
 from dataclasses import fields
 from fractions import Fraction
@@ -5,6 +6,7 @@ from functools import partial
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from signcrystal.engine import build_graph, depth, verify
@@ -62,6 +64,11 @@ def small_param_sets():
             yield Params(ell, kappa, tuple(range(ell)))
 
 
+def compare(a, b) -> int:
+    """The sign of a - b: -1, 0 or 1."""
+    return (a > b) - (a < b)
+
+
 def wide_param_sets():
     """ell 1-3, numerators other than 1, negative kappa, and charges out of
     order or repeated: where an integer d-key could go wrong."""
@@ -70,6 +77,41 @@ def wide_param_sets():
         for kappa in kappas + (IRRATIONAL,):
             for charges in charge_sets:
                 yield Params(ell, kappa, charges)
+
+
+_charges = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+_partitions = st.lists(st.integers(1, 8), max_size=5).map(lambda rows: tuple(sorted(rows, reverse=True)))
+
+
+@st.composite
+def wide_params(draw, max_ell=6):
+    """Params of ell 1..max_ell, charges up to 10^30 in size, and kappa =
+    a/e with e up to 10^6 and |a| <= 3e, or irrational: where huge charges
+    and large denominators meet the integer class key."""
+    ell = draw(st.integers(1, max_ell))
+    charges = tuple(draw(st.lists(_charges, min_size=ell, max_size=ell)))
+    if draw(st.booleans()):
+        return Params(ell, IRRATIONAL, charges)
+    e = draw(st.one_of(st.integers(2, 7), st.integers(2, 10**6)))
+    kappa = draw(st.integers(-3 * e, 3 * e).map(lambda a: Fraction(a, e)).filter(lambda k: k.denominator > 1))
+    return Params(ell, kappa, charges)
+
+
+@st.composite
+def wide_labels(draw, max_ell=6, max_boxes=None):
+    """(params, label) from `wide_params`.  Given max_boxes, the label keeps
+    only its first max_boxes boxes, row by row and component by component."""
+    p = draw(wide_params(max_ell))
+    left = float("inf") if max_boxes is None else max_boxes
+    components = []
+    for rows in draw(st.lists(_partitions, min_size=p.ell, max_size=p.ell)):
+        kept = []
+        for row in rows:
+            if left:
+                kept.append(min(row, left))
+                left -= kept[-1]
+        components.append(tuple(kept))
+    return p, Multipartition(tuple(components))
 
 
 class TestBoundary:
@@ -112,24 +154,45 @@ class TestBoundary:
                         assert d(y) > d(x)
 
     def test_corner_keys_match_oracle(self):
-        # the kernel's values, not only their order: the key is e * d, or
-        # -component for irrational kappa; the class value is the content
-        # mod e, or the content itself
+        # the kernel's values: the class value is the content mod e, or the
+        # content itself; the key is not d, but any two corners of one class
+        # of a label compare by key as they compare by d
         for p in wide_param_sets():
             kappa = p.kappa if p.is_rational else None
-            labels = multipartitions_up_to(p.ell, 5)
-            for comp, part in {pair for m in labels for pair in enumerate(m.components)}:
-                found = realizations._corners(p, comp, part)
-                expected = [((comp, r, c), "+") for r, c in oracles.oracle_addable(part)]
-                expected += [((comp, r, c), "-") for r, c in oracles.oracle_removable(part)]
-                assert sorted((tuple(box), sym) for _, _, box, sym in found) == sorted(expected)
-                for key, value, box, _ in found:
-                    cont = oracles.oracle_content(p.charges, box)
-                    if kappa is None:
-                        assert (key, value) == (-comp, cont)
-                    else:
-                        assert key == p.e * oracles.oracle_d(kappa, p.ell, p.charges, box)
-                        assert value == cont % p.e
+            d = partial(oracles.oracle_d, kappa, p.ell, p.charges)
+            for m in multipartitions_up_to(p.ell, 5):
+                by_class = {}
+                for comp, part in enumerate(m.components):
+                    found = realizations._corners(p, comp, part)
+                    expected = [((comp, r, c), "+") for r, c in oracles.oracle_addable(part)]
+                    expected += [((comp, r, c), "-") for r, c in oracles.oracle_removable(part)]
+                    assert sorted((tuple(box), sym) for _, _, box, sym in found) == sorted(expected)
+                    for key, value, box, _ in found:
+                        cont = oracles.oracle_content(p.charges, box)
+                        assert value == (cont if kappa is None else cont % p.e)
+                        by_class.setdefault(value, []).append((key, tuple(box)))
+                for corners in by_class.values():
+                    for (kx, x), (ky, y) in itertools.combinations(corners, 2):
+                        assert compare(kx, ky) == compare(d(x), d(y)) != 0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(wide_labels())
+    def test_wide_parameters_match_oracle(self, drawn):
+        # every class word of the label, and both operators on every class
+        p, m = drawn
+        kappa = p.kappa if p.is_rational else None
+        table = boundaries(p, m)
+        assert [(z.kind, z.value) for z in table] == oracles.oracle_classes(kappa, p.charges, m.components)
+        for z, b in table.items():
+            zp = (z.kind, z.value)
+            expected = oracles.oracle_boundary(kappa, p.ell, p.charges, m.components, zp)
+            assert [tuple(box) for box in b.boxes] == [box for box, _ in expected]
+            assert b.sign == oracles.oracle_sign(expected)
+            for op, oracle_op in ((crystal_add, oracles.oracle_add), (crystal_remove, oracles.oracle_remove)):
+                got = op(p, m, z)
+                assert oracle_op(kappa, p.ell, p.charges, m.components, zp) == (
+                    None if got is None else (got[0].components, tuple(got[1]))
+                )
 
     def test_shared_table_matches_fresh_and_oracle(self):
         # one corner table serves a whole sweep, in either order
