@@ -25,9 +25,6 @@ _EXPORTS = {
     ),
     "errors": (
         "CrystalError",
-        "DegenerateClassError",
-        "DTieError",
-        "InvariantViolationError",
         "ResourceCeilingError",
         "ValidationError",
     ),

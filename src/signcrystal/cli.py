@@ -1,7 +1,7 @@
 """Command-line surface: one process, one command, JSON in and out.
 
-Exit codes: 0 success, 2 validation error, 3 invariant violation or a
-failed verification suite, 4 resource ceiling.  Errors are reported as
+Exit codes: 0 success, 2 validation error, 3 a failed verification
+suite, 4 resource ceiling.  Errors are reported as
 {"error": {"code", "message", "location"?}} on stdout.
 """
 

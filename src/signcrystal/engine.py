@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 # naive is imported inside the three suites that check against it, so no
 # other computation loads it
-from .errors import DEFAULT_NODE_CEILING, Budget, DegenerateClassError, ValidationError, is_int
+from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError, as_tuple, is_int
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     _check_characteristic,
@@ -164,6 +164,7 @@ def build_graph(
         raise ValidationError(f"node_ceiling must be a nonnegative integer, got {node_ceiling!r}")
     allowed = only = None
     if classes is not None:
+        classes = as_tuple(classes, "classes must be a sequence of ZClass labels")
         allowed = tuple(sorted({params.coerce_class(z) for z in classes}))
         only = {z.value for z in allowed}
     # size by size, each size sorted by its rows: (size, rows) order
@@ -473,24 +474,17 @@ def _verify_gl_realization(
             _, positions, sign = _gl_read(w, i, p)
             if (positions, sign) != naive.gl_sign(w, i, p):
                 yield {"weight": list(w), "i": i, "violated": "sign word"}
-            up = _gl_call(_gl_step, w, positions, sign, True)
+            up = _gl_step(w, positions, sign, True)
             if up != naive.gl_add(w, i, p):
                 yield {"weight": list(w), "i": i, "violated": "raise"}
-            down = _gl_call(_gl_step, w, positions, sign, False)
+            down = _gl_step(w, positions, sign, False)
             if down != naive.gl_remove(w, i, p):
                 yield {"weight": list(w), "i": i, "violated": "lower"}
-            if isinstance(up, tuple) and _gl_call(_gl_step, *_gl_read(up, i, p), False) != w:
+            if up is not None and _gl_step(*_gl_read(up, i, p), False) != w:
                 yield {"weight": list(w), "i": i, "violated": "raise/lower inverse"}
-            if isinstance(down, tuple) and _gl_call(_gl_step, *_gl_read(down, i, p), True) != w:
+            if down is not None and _gl_step(*_gl_read(down, i, p), True) != w:
                 yield {"weight": list(w), "i": i, "violated": "lower/raise inverse"}
             yield None
-
-
-def _gl_call(fn, *args):
-    try:
-        return fn(*args)
-    except DegenerateClassError:
-        return "degenerate"
 
 
 def _verify_depth_irrational(max_boxes: int = 8, ceiling: int = DEFAULT_NODE_CEILING):

@@ -2,7 +2,9 @@
 
 Each error class carries a short machine-readable code, and each error an
 optional location hint; the CLI maps the classes to process exit codes
-(validation 2, invariant violation 3, resource ceiling 4).
+(validation 2, resource ceiling 4).  Exit 3, a failed verification
+suite, is the CLI's own: proven invariants are tested, not re-checked on
+each call, so no error class stands for them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,15 @@ DEFAULT_NODE_CEILING = 2_000_000
 def is_int(value) -> bool:
     """The one integer rule for inputs: an int, never a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_tuple(value, must: str) -> tuple:
+    """The one sequence rule for inputs: tuple(value), or a ValidationError
+    "{must}, got {value!r}" when value is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{must}, got {value!r}") from None
 
 
 @contextlib.contextmanager
@@ -59,25 +70,6 @@ class ValidationError(CrystalError):
 
     code = "VALIDATION"
     exit_code = 2
-
-
-class InvariantViolationError(CrystalError):
-    """An internal consistency guarantee failed; indicates corrupt parameters."""
-
-    code = "INVARIANT"
-    exit_code = 3
-
-
-class DTieError(InvariantViolationError):
-    """Two distinct boundary boxes share a d-value."""
-
-    code = "D_TIE"
-
-
-class DegenerateClassError(InvariantViolationError):
-    """A weight flip left the strictly-dominant range."""
-
-    code = "DEGENERATE_CLASS"
 
 
 class ResourceCeilingError(CrystalError):

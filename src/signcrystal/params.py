@@ -19,10 +19,11 @@ d(y) = a * ell * t - (j - k) and the keys differ by sign(a) * ell * e * t -
 differences have the sign of a * t; if t = 0 both are k - j.  For
 irrational kappa one class is one content and both differences are k - j.
 One diagonal of one component holds at most one corner, so two boxes of
-one class never share a key: an equal pair (DTieError) means corrupted
-parameters.  Neither |kappa| nor the charge sum enters the order, and
-class membership and d-comparisons never touch floating point.  Floats
-appear only in the numeric converters at the bottom of this module.
+one class never share a key; the tests, not each merge, check this
+against the paper's Fraction d.  Neither |kappa| nor the charge sum
+enters the order, and class membership and d-comparisons never touch
+floating point.  Floats appear only in the numeric converters at the
+bottom of this module.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError, is_int
+from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError, as_tuple, is_int
 
 
 class _IrrationalKappa:
@@ -69,7 +70,7 @@ class Params:
     def __post_init__(self):
         if not is_int(self.ell) or self.ell < 1:
             raise ValidationError(f"ell must be a positive integer, got {self.ell!r}")
-        charges = tuple(self.charges)
+        charges = as_tuple(self.charges, "charges must be a sequence of integers")
         for s in charges:
             if not is_int(s):
                 raise ValidationError(f"charges must be integers, got {s!r}")

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ValidationError, is_int
+from .errors import ValidationError, as_tuple, is_int
 
 Partition = tuple[int, ...]
 
@@ -24,7 +24,7 @@ class BoxRef(NamedTuple):
 
 def check_partition(rows: Iterable[int]) -> Partition:
     """Canonicalize a row-length sequence; trailing zeros are trimmed."""
-    parts = tuple(rows)
+    parts = as_tuple(rows, "partition rows must be a sequence of integers")
     for r in parts:
         if not is_int(r):
             raise ValidationError(f"partition rows must be integers, got {r!r}")
@@ -78,7 +78,8 @@ class Multipartition:
     components: tuple[Partition, ...]
 
     def __post_init__(self):
-        comps = tuple(check_partition(c) for c in self.components)
+        must = "multipartition components must be a sequence of partitions"
+        comps = tuple(check_partition(c) for c in as_tuple(self.components, must))
         object.__setattr__(self, "components", comps)
 
     @classmethod

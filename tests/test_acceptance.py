@@ -98,7 +98,8 @@ def test_c05_d_separation():
         d = partial(oracles.oracle_d, kappa, p.ell, p.charges)
         for m in nodes(p.ell):
             for z in sorted(boundaries(p, m)):
-                b = boundary(p, m, z)  # raises on a d-tie
+                # no tie: the oracle's Fraction d separates every pair
+                b = boundary(p, m, z)
                 for x, y in itertools.combinations(b.boxes, 2):
                     pairs += 1
                     if kappa is None:

@@ -668,9 +668,6 @@ class TestErrors:
         # the code is the class's own; no caller can override it
         for cls, code, exit_code in (
             (errors.ValidationError, "VALIDATION", 2),
-            (errors.InvariantViolationError, "INVARIANT", 3),
-            (errors.DTieError, "D_TIE", 3),
-            (errors.DegenerateClassError, "DEGENERATE_CLASS", 3),
             (errors.ResourceCeilingError, "RESOURCE_CEILING", 4),
         ):
             assert cls("m").to_json() == {"error": {"code": code, "message": "m"}}

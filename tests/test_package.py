@@ -1,4 +1,4 @@
-"""The package's public names: the same 48 objects as their submodules',
+"""The package's public names: the same 45 objects as their submodules',
 re-exported lazily, so that importing the package loads no submodule."""
 
 import importlib
@@ -14,8 +14,7 @@ PUBLIC = {
         "depth", "string_decomposition", "support", "verify",
     ],
     "errors": [
-        "CrystalError", "DegenerateClassError", "DTieError", "InvariantViolationError",
-        "ResourceCeilingError", "ValidationError",
+        "CrystalError", "ResourceCeilingError", "ValidationError",
     ],
     "params": ["IRRATIONAL", "Params", "ZClass", "cyclotomic_c", "hecke_parameters"],
     "realizations": [
@@ -36,7 +35,7 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 
 def test_name_count():
-    assert len(NAMES) == len({name for _, name in NAMES}) == 48
+    assert len(NAMES) == len({name for _, name in NAMES}) == 45
     assert sorted(signcrystal.__all__) == sorted(name for _, name in NAMES)
 
 

@@ -176,6 +176,24 @@ def test_bool_is_not_an_integer(call, message):
     assert err.value.message == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Params(1, HALF, 0), "charges must be a sequence of integers, got 0"),
+        (lambda: build_graph(P, 2, classes=5), "classes must be a sequence of ZClass labels, got 5"),
+        (lambda: Multipartition(5), "multipartition components must be a sequence of partitions, got 5"),
+        (lambda: Multipartition((5,)), "partition rows must be a sequence of integers, got 5"),
+    ],
+    ids=["params_charges", "graph_classes", "multipartition", "partition_rows"],
+)
+def test_non_iterable_is_a_validation_error(call, message):
+    # a value that is no sequence where one is expected is a ValidationError
+    # naming it, never a TypeError; test_realizations covers the weight
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert err.value.message == message
+
+
 class TestDDiff:
     """d-differences read off the kernel's keys: a key difference has the
     sign of the d-difference, and for irrational kappa it is the

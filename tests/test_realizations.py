@@ -9,13 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from signcrystal.engine import build_graph, depth, verify
-from signcrystal.errors import (
-    DegenerateClassError,
-    DTieError,
-    ResourceCeilingError,
-    ValidationError,
-)
+from signcrystal.engine import build_graph, verify
+from signcrystal.errors import ResourceCeilingError, ValidationError
 from signcrystal.params import IRRATIONAL, Params, ZClass
 from signcrystal.realizations import (
     ZBoundary,
@@ -114,6 +109,49 @@ def wide_labels(draw, max_ell=6, max_boxes=None):
     return p, Multipartition(tuple(components))
 
 
+def assert_keys_order_as_d(p, m):
+    """Every two corners of one class of m have distinct keys, ordered as
+    the oracle's d orders the boxes."""
+    kappa = p.kappa if p.is_rational else None
+    d = partial(oracles.oracle_d, kappa, p.ell, p.charges)
+    by_class = {}
+    for comp, part in enumerate(m.components):
+        for key, value, box, _ in realizations._corners(p, comp, part):
+            by_class.setdefault(value, []).append((key, tuple(box)))
+    for corners in by_class.values():
+        for (kx, x), (ky, y) in itertools.combinations(corners, 2):
+            assert compare(kx, ky) == compare(d(x), d(y)) != 0
+
+
+_GL_PRIMES = (0, 2, 3, 5, 7, 2**61 - 1)
+
+
+def assert_gl_matches_oracle(w, i, p):
+    """The word and both steps agree with the oracle, and a stepped weight
+    is strictly decreasing."""
+    assert gl_word(w, i, p) == oracles.oracle_gl_sign(w, i, p)
+    up, down = gl_crystal_add(w, i, p), gl_crystal_remove(w, i, p)
+    assert up == oracles.oracle_gl_add(w, i, p)
+    assert down == oracles.oracle_gl_remove(w, i, p)
+    for stepped in (up, down):
+        assert stepped is None or all(a > b for a, b in zip(stepped, stepped[1:]))
+
+
+@st.composite
+def wide_gl_cases(draw):
+    """(weight, i, p): a strictly decreasing weight of at most 6 entries up
+    to 10^30 in size, p among `_GL_PRIMES`, and any integer i.  Entries and
+    i cluster near one base, shifted by multiples of p, so that they meet
+    in the word."""
+    huge = st.one_of(st.integers(10**29, 10**30), st.integers(-(10**30), -(10**29)))
+    base = draw(st.one_of(st.integers(-(10**30), 10**30), huge))
+    p = draw(st.sampled_from(_GL_PRIMES))
+    near = st.builds(lambda d, t: base + d + p * t, st.integers(-3, 3), st.integers(-(10**12), 10**12))
+    entries = draw(st.sets(st.one_of(near, st.integers(-(10**30), 10**30)), max_size=6))
+    i = draw(st.one_of(near, st.integers()))
+    return tuple(sorted(entries, reverse=True)), i, p
+
+
 class TestBoundary:
     def test_row2_class1(self):
         b = boundary(P_HALF, ROW2, RES1)
@@ -159,28 +197,25 @@ class TestBoundary:
         # of a label compare by key as they compare by d
         for p in wide_param_sets():
             kappa = p.kappa if p.is_rational else None
-            d = partial(oracles.oracle_d, kappa, p.ell, p.charges)
             for m in multipartitions_up_to(p.ell, 5):
-                by_class = {}
                 for comp, part in enumerate(m.components):
                     found = realizations._corners(p, comp, part)
                     expected = [((comp, r, c), "+") for r, c in oracles.oracle_addable(part)]
                     expected += [((comp, r, c), "-") for r, c in oracles.oracle_removable(part)]
                     assert sorted((tuple(box), sym) for _, _, box, sym in found) == sorted(expected)
-                    for key, value, box, _ in found:
+                    for _, value, box, _ in found:
                         cont = oracles.oracle_content(p.charges, box)
                         assert value == (cont if kappa is None else cont % p.e)
-                        by_class.setdefault(value, []).append((key, tuple(box)))
-                for corners in by_class.values():
-                    for (kx, x), (ky, y) in itertools.combinations(corners, 2):
-                        assert compare(kx, ky) == compare(d(x), d(y)) != 0
+                assert_keys_order_as_d(p, m)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(wide_labels())
     def test_wide_parameters_match_oracle(self, drawn):
-        # every class word of the label, and both operators on every class
+        # every class word of the label, and both operators on every class;
+        # the corner keys of one class are pairwise distinct and compare as d
         p, m = drawn
         kappa = p.kappa if p.is_rational else None
+        assert_keys_order_as_d(p, m)
         table = boundaries(p, m)
         assert [(z.kind, z.value) for z in table] == oracles.oracle_classes(kappa, p.charges, m.components)
         for z, b in table.items():
@@ -216,24 +251,6 @@ class TestBoundary:
                         assert sign == oracles.oracle_sign(expected)
                 pairs = {(c, part) for m in labels for c, part in enumerate(m.components)}
                 assert len(shared) == len(pairs)
-
-    def test_d_tie_guard(self):
-        # only corrupt parameters can tie: kappa = 0, which Params rejects,
-        # puts every box in one class with key 0
-        p = Params(1, HALF, (0,))
-        object.__setattr__(p, "kappa", Fraction(0))
-        tie = [oracles.oracle_d(p.kappa, 1, p.charges, box) for box in ((0, 1, 2), (0, 2, 1))]
-        assert tie == [0, 0]
-        with pytest.raises(DTieError):
-            boundary(p, ROW2, RES0)
-        with pytest.raises(DTieError):
-            boundaries(p, ROW2)
-        # the graph and the depth walk read the same merge, guard included
-        with pytest.raises(DTieError) as graph_tie:
-            build_graph(p, 2)
-        with pytest.raises(DTieError) as walk_tie:
-            depth(p, ROW2)
-        assert graph_tie.traceback[-1].name == walk_tie.traceback[-1].name == "_merge"
 
     def test_wrong_class_kind(self):
         with pytest.raises(ValidationError):
@@ -607,9 +624,13 @@ class TestDominantWeights:
             for w in itertools.combinations(range(6, -4, -1), n):
                 for p in (0, 2, 3, 5, 7):
                     for i in range(-4, 9):
-                        assert gl_word(w, i, p) == oracles.oracle_gl_sign(w, i, p)
-                        assert gl_crystal_add(w, i, p) == oracles.oracle_gl_add(w, i, p)
-                        assert gl_crystal_remove(w, i, p) == oracles.oracle_gl_remove(w, i, p)
+                        assert_gl_matches_oracle(w, i, p)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(wide_gl_cases())
+    def test_wide_entries_match_oracle(self, drawn):
+        # entries up to 10^30 in size, stepped exactly or mod p
+        assert_gl_matches_oracle(*drawn)
 
     def test_one_word_read_per_call(self, monkeypatch):
         reads = count_gl_reads(monkeypatch)
@@ -617,12 +638,6 @@ class TestDominantWeights:
             reads.clear()
             fn((5, 4, 2), 1, 3)
             assert len(reads) == 1, fn.__name__
-
-    def test_dominance_guard(self, monkeypatch):
-        # force a flip at a position the reduction would never choose
-        monkeypatch.setattr(realizations, "_flip_at", lambda sign, raising: 1)
-        with pytest.raises(DegenerateClassError):
-            gl_crystal_add((2, 1), 1, 3)
 
 
 class TestPrimality:
