@@ -25,6 +25,7 @@ def main():
         runs = [
             ("axioms", {"n": 14}),
             ("confluence", {"n": 10, "trials": 100, "seed": 0}),
+            ("confluence", {"n": 15, "trials": 1, "seed": 0}),
             ("comb_lemma", {"n": 12}),
             ("boundary_invariance", {"params": third, "max_boxes": 8}),
             ("boundary_invariance", {"params": irr, "max_boxes": 8}),

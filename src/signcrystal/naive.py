@@ -10,7 +10,8 @@ imported by the operator modules it double-checks.
 `crystal_steps` builds a label's addable and removable cells once and
 answers every class the label meets from them; `crystal_add` and
 `crystal_remove` answer one class through the same entry and step code.
-Nothing is kept between calls.
+Nothing is kept between calls, except that a `reductions` generator keeps
+one word's rewrites for that word's trials.
 """
 
 from __future__ import annotations
@@ -34,6 +35,27 @@ def reduce_by_rewriting(t: str, rng=None) -> str:
             return word
         a, b = sites[0] if rng is None else rng.choice(sites)
         word = word[:a] + "0" + word[a + 1:b] + "0" + word[b + 1:]
+
+
+def reductions(t: str, rng):
+    """Yield random-order reductions of t without end, each drawing its sites
+    as `reduce_by_rewriting(t, rng)` does; every word met is scanned once,
+    and each of its [a, b, rewrite] sites rewritten the first time it is drawn."""
+    sites_of = {}
+    while True:
+        word = t
+        while True:
+            sites = sites_of.get(word)
+            if sites is None:
+                sites = sites_of[word] = [[m.start(), m.end() - 1, None] for m in _SITE.finditer(word)]
+            if not sites:
+                break
+            site = rng.choice(sites)
+            if site[2] is None:
+                a, b, _ = site
+                site[2] = word[:a] + "0" + word[a + 1:b] + "0" + word[b + 1:]
+            word = site[2]
+        yield word
 
 
 def raise_word(t: str) -> tuple[str, int] | None:

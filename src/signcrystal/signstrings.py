@@ -25,11 +25,10 @@ def check_sign_string(t: str) -> str:
     """Validate a word over '+'/'-' (empty allowed) and return it."""
     if not isinstance(t, str):
         raise ValidationError(f"sign string must be a str, got {type(t).__name__}")
-    stray = set(t) - _ALPHABET
-    if stray:
+    if not _ALPHABET.issuperset(t):
         raise ValidationError(
             "sign string may contain only '+' and '-', found "
-            + ", ".join(repr(c) for c in sorted(stray))
+            + ", ".join(repr(c) for c in sorted(set(t) - _ALPHABET))
         )
     return t
 
@@ -67,9 +66,9 @@ def h_minus(t: str) -> int:
 
 
 def weight(t: str) -> int:
-    """h_minus - h_plus; cancellation is pairwise, so this is #'-' - #'+'."""
-    hp, hm = statistics(t)
-    return hm - hp
+    """h_minus - h_plus, which is #'-' - #'+' since cancellation is pairwise."""
+    check_sign_string(t)
+    return t.count(MINUS) - t.count(PLUS)
 
 
 def e_tilde(t: str) -> tuple[str, int] | None:
@@ -116,10 +115,9 @@ def succ_compare(a: str, b: str) -> int:
     check_sign_string(b)
     if len(a) != len(b):
         raise ValidationError(f"cannot compare words of lengths {len(a)} and {len(b)}")
-    for i in range(len(a) - 1, -1, -1):
-        if a[i] != b[i]:
-            return 1 if a[i] == MINUS else -1
-    return 0
+    # read from the right, '-' sorts above '+' in ASCII
+    ra, rb = a[::-1], b[::-1]
+    return (ra > rb) - (ra < rb)
 
 
 def plus_flips(t: str) -> list[tuple[int, str]]:

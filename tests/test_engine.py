@@ -691,6 +691,40 @@ class TestNaiveReference:
             assert naive.reduce_by_rewriting(t, ours) == oracles.reduce_random(t, theirs)
         assert ours.drawn == theirs.drawn
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_reductions_draw_as_one_shot_calls(self, seed, k):
+        # k reductions from one generator per word against k one-shot calls
+        # on a twin stream: the same results, the same drawn sites and the
+        # same stream state afterwards
+        ours, twin = _Drawn(seed), _Drawn(seed)
+        for t in itertools.chain(_words("+-0", 7), _words("+-", 10)):
+            got = [word for _, word in zip(range(k), naive.reductions(t, ours))]
+            assert got == [naive.reduce_by_rewriting(t, twin) for _ in range(k)]
+        assert [tuple(site[:2]) for site in ours.drawn] == twin.drawn
+        assert ours.random() == twin.random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_confluence_suite_draws_trial_by_trial(self, monkeypatch, seed):
+        # the suite's one stream draws each word's trials in turn and nothing
+        # past a word's last trial
+        made = []
+
+        def recorded(s):
+            made.append(_Drawn(s))
+            return made[-1]
+
+        monkeypatch.setattr(engine.random, "Random", recorded)
+        report = verify("confluence", n=6, trials=3, seed=seed)
+        assert (report.passed, report.checked) == (True, 127 * 3)
+        theirs = _Drawn(seed)
+        for t in _words("+-", 6):
+            for _ in range(3):
+                oracles.reduce_random(t, theirs)
+        ours, = made
+        assert [tuple(site[:2]) for site in ours.drawn] == theirs.drawn
+        assert ours.random() == theirs.random()
+
     @pytest.mark.parametrize(
         "ell, kappa, charges, max_boxes",
         [(2, Fraction(1, 3), (0, 1), 5), (3, None, (0, 1, 2), 4)],
@@ -764,8 +798,8 @@ PLANTED_FAULTS = [
            2, {"word": "+", "violated": "weight shift"}, "axioms weight shift"),
     _fault("axioms", {"n": 4}, engine, "e_tilde", _stale_memo,
            3, {"word": "-", "violated": "lower/raise inverse"}, "axioms lower/raise inverse"),
-    _fault("confluence", {"n": 4, "trials": 2}, naive, "reduce_by_rewriting",
-           lambda real: lambda t, rng: t if len(t) >= 3 else real(t, rng),
+    _fault("confluence", {"n": 4, "trials": 2}, naive, "reductions",
+           lambda real: lambda t, rng: itertools.repeat(t) if len(t) >= 3 else real(t, rng),
            19, {"word": "+-+", "expected": "+00", "got": "+-+"}, "confluence"),
     _fault("comb_lemma", {"n": 4}, engine, "suffix_h_minus",
            lambda real: lambda t, k: real(t, k) + (k == 2 and len(t) == 3),

@@ -182,7 +182,7 @@ class TestSuccOrder:
             succ_compare("+", "++")
 
     def test_total_order_small(self):
-        for n in range(4):
+        for n in range(9):
             ordered = sorted(iter_words(n), key=_succ_key)
             for a, b in zip(ordered, ordered[1:]):
                 assert succ_compare(b, a) == 1
