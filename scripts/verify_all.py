@@ -14,38 +14,40 @@ from signcrystal.engine import verify
 from signcrystal.params import IRRATIONAL, Params
 
 
+THIRD = Params(2, Fraction(1, 3), (0, 1))
+IRR = Params(3, IRRATIONAL, (0, 1, 2))
+
+# (suite, bounds) for each run, at --full's bounds and at the default ones
+FULL_RUNS = [
+    ("axioms", {"n": 14}),
+    ("confluence", {"n": 10, "trials": 100, "seed": 0}),
+    ("confluence", {"n": 15, "trials": 1, "seed": 0}),
+    ("comb_lemma", {"n": 12}),
+    ("boundary_invariance", {"params": THIRD, "max_boxes": 8}),
+    ("boundary_invariance", {"params": IRR, "max_boxes": 8}),
+    ("realization_consistency", {"params": THIRD, "max_boxes": 8}),
+    ("realization_consistency", {"params": IRR, "max_boxes": 8}),
+    ("gl_realization", {"n": 4, "p": 3, "entry_bound": 8}),
+    ("gl_realization", {"n": 3, "p": 0, "entry_bound": 6}),
+    ("depth_irrational", {"max_boxes": 8}),
+]
+QUICK_RUNS = [
+    ("axioms", {"n": 11}),
+    ("confluence", {"n": 8, "trials": 25, "seed": 0}),
+    ("comb_lemma", {"n": 10}),
+    ("boundary_invariance", {"params": THIRD, "max_boxes": 6}),
+    ("realization_consistency", {"params": THIRD, "max_boxes": 6}),
+    ("gl_realization", {"n": 3, "p": 3, "entry_bound": 6}),
+    ("depth_irrational", {"max_boxes": 8}),
+]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true")
     args = parser.parse_args()
 
-    third = Params(2, Fraction(1, 3), (0, 1))
-    irr = Params(3, IRRATIONAL, (0, 1, 2))
-    if args.full:
-        runs = [
-            ("axioms", {"n": 14}),
-            ("confluence", {"n": 10, "trials": 100, "seed": 0}),
-            ("confluence", {"n": 15, "trials": 1, "seed": 0}),
-            ("comb_lemma", {"n": 12}),
-            ("boundary_invariance", {"params": third, "max_boxes": 8}),
-            ("boundary_invariance", {"params": irr, "max_boxes": 8}),
-            ("realization_consistency", {"params": third, "max_boxes": 8}),
-            ("realization_consistency", {"params": irr, "max_boxes": 8}),
-            ("gl_realization", {"n": 4, "p": 3, "entry_bound": 8}),
-            ("gl_realization", {"n": 3, "p": 0, "entry_bound": 6}),
-            ("depth_irrational", {"max_boxes": 8}),
-        ]
-    else:
-        runs = [
-            ("axioms", {"n": 11}),
-            ("confluence", {"n": 8, "trials": 25, "seed": 0}),
-            ("comb_lemma", {"n": 10}),
-            ("boundary_invariance", {"params": third, "max_boxes": 6}),
-            ("realization_consistency", {"params": third, "max_boxes": 6}),
-            ("gl_realization", {"n": 3, "p": 3, "entry_bound": 6}),
-            ("depth_irrational", {"max_boxes": 8}),
-        ]
-
+    runs = FULL_RUNS if args.full else QUICK_RUNS
     failures = 0
     for suite, bounds in runs:
         started = time.monotonic()

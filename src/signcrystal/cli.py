@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import signstrings
-from .errors import DEFAULT_NODE_CEILING, CrystalError, ValidationError, _any_int_digits
+from .errors import DEFAULT_NODE_CEILING, Budget, CrystalError, ValidationError, _any_int_digits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,9 +208,15 @@ def _params_arg(args):
     if not raw.lstrip().startswith("{"):
         try:
             with open(raw, encoding="utf-8") as handle:
-                text = handle.read()
+                text = handle.read(DEFAULT_NODE_CEILING + 1)
         except (OSError, UnicodeDecodeError) as err:
             raise ValidationError(f"cannot read params file {raw!r}: {err}", location="params")
+        # inline params are bounded by the argument size of the OS, a file by
+        # the ceiling; the path is escaped, since Budget formats the message
+        name = repr(raw).replace("{", "{{").replace("}", "}}")
+        Budget(
+            DEFAULT_NODE_CEILING, f"params file {name} holds more than {{ceiling}} characters"
+        ).charge(len(text))
     return serialize.params_from_json(_load_json(text, "params"))
 
 

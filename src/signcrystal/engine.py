@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 # naive is imported inside the three suites that check against it, so no
 # other computation loads it
-from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError, as_tuple, is_int
+from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError, _any_int_digits, as_tuple, is_int
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     _check_characteristic,
@@ -285,8 +285,10 @@ def verify(suite: str, **bounds) -> VerifyReport:
 
 
 def _check_word_budget(n: int, ceiling: int) -> None:
-    # past the ceiling's bit length, 2**n alone can exhaust memory
-    message = f"2^{n} words exceed the ceiling {{ceiling}}; raise it explicitly to proceed"
+    # past the ceiling's bit length, 2**n alone can exhaust memory; the
+    # message prints n in full, however long
+    with _any_int_digits():
+        message = f"2^{n} words exceed the ceiling {{ceiling}}; raise it explicitly to proceed"
     Budget(ceiling, message).charge(2**n if n <= ceiling.bit_length() else ceiling + 1)
 
 
@@ -323,11 +325,12 @@ def _verify_confluence(
     # least once; past the ceiling's bit length, a huge n never forms 2**n
     runs = max(trials, 1)
     rewrites = ((1 << max(n + 1, 0)) - 1) * runs if n <= ceiling.bit_length() else ceiling + 1
-    Budget(
-        ceiling,
-        f"confluence would rewrite every word up to length {n} x {runs} trials, above the "
-        f"ceiling {{ceiling}}; raise it explicitly to proceed",
-    ).charge(rewrites)
+    with _any_int_digits():
+        message = (
+            f"confluence would rewrite every word up to length {n} x {runs} trials, above the "
+            f"ceiling {{ceiling}}; raise it explicitly to proceed"
+        )
+    Budget(ceiling, message).charge(rewrites)
     from . import naive
 
     rng = random.Random(seed)
@@ -464,6 +467,9 @@ def _verify_gl_realization(
     Budget(
         ceiling, "gl_realization would run more than {ceiling} checks; raise the ceiling to proceed"
     ).charge(weights * (p or max(entry_bound + 2, 0)))
+    if n > top:
+        # no weight, and combinations would first fill an n-entry index array
+        return
     from . import naive
 
     # p is checked once, above, so every word goes through the unchecked

@@ -1,7 +1,10 @@
 import contextlib
+import importlib.util
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -30,10 +33,13 @@ def run_json(capsys, *args):
     return code, json.loads(out)
 
 
-def run_cold(*args):
-    """`python *args` in a fresh process that imports the package from SRC."""
+def run_cold(*args, timeout=None):
+    """`python *args` in a fresh process that imports the package from SRC;
+    past `timeout` seconds it is killed and subprocess.TimeoutExpired raised."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def contains_float(value):
@@ -545,6 +551,9 @@ class TestVerifyCommand:
             ("depth_irrational", "--max-boxes", "-3"),
             ("comb_lemma", "--n", "0"),
             ("gl_realization", "--n", "9", "--entry-bound", "6"),
+            # n above the weight count forms no weight, however large
+            ("gl_realization", "--n", "9223372036854775807"),
+            ("gl_realization", "--n", "9223372036854775808"),
         ],
     )
     def test_empty_suite_rejected(self, capsys, bounds):
@@ -553,6 +562,31 @@ class TestVerifyCommand:
         assert code == 2
         assert data["error"]["code"] == "VALIDATION"
         assert suite in data["error"]["message"]
+
+    def test_every_suite_is_listed_everywhere(self):
+        # the README's --ceiling table and verify examples, both run lists of
+        # scripts/verify_all.py, and a verify flag for each runner parameter
+        root = Path(SRC).parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| suite | `--ceiling` counts | default |\n")[1].split("\n\n")[0]
+        in_table = {
+            name for row in table.splitlines() for name in re.findall(r"`(\w+)`", row.split("|")[1])
+        }
+        examples = set(re.findall(r"signcrystal verify --suite (\w+)", readme))
+        spec = importlib.util.spec_from_file_location(
+            "verify_all", root / "scripts" / "verify_all.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        parser = cli._build_parser()
+        for suite, runner in engine.SUITES.items():
+            assert suite in in_table
+            assert suite in examples
+            assert suite in {name for name, _ in script.FULL_RUNS}
+            assert suite in {name for name, _ in script.QUICK_RUNS}
+            for name in inspect.signature(runner).parameters:
+                flag = "--" + name.replace("_", "-")
+                assert name in vars(parser.parse_args(["verify", "--suite", suite, flag, "1"]))
 
     def test_unknown_suite_names_every_suite(self, capsys):
         code, data = run_json(capsys, "verify", "--suite", "nope")
@@ -595,6 +629,22 @@ class TestParamsCommand:
         code, data = run_json(capsys, "params", "--params", str(path))
         assert code == 2
         assert data["error"]["location"] == "params"
+
+    def test_params_file_size_bound(self, capsys, tmp_path):
+        # a file is read up to the default ceiling of 2,000,000 characters;
+        # the braces in its name reach the message as they are
+        path = tmp_path / "p{spent}.json"
+        path.write_text(PARAMS_HALF.ljust(errors.DEFAULT_NODE_CEILING), encoding="utf-8")
+        code, data = run_json(capsys, "params", "--params", str(path))
+        assert code == 0
+        assert data["e"] == 2
+        path.write_text(PARAMS_HALF.ljust(errors.DEFAULT_NODE_CEILING + 1), encoding="utf-8")
+        code, data = run_json(capsys, "params", "--params", str(path))
+        assert code == 4
+        assert data["error"] == {
+            "code": "RESOURCE_CEILING",
+            "message": f"params file {str(path)!r} holds more than 2000000 characters",
+        }
 
     def test_cyclotomic_ceiling(self, capsys):
         # (ell - 1)^2 terms: 1415 is the largest ell within 2,000,000

@@ -648,6 +648,9 @@ class TestVerify:
     def test_confluence_huge_n_rejected_at_once(self):
         with pytest.raises(ResourceCeilingError):
             verify("confluence", n=10**18, trials=0)
+        # past Python's 4,300-digit limit the message still prints n
+        with pytest.raises(ResourceCeilingError, match="up to length 1000"):
+            verify("confluence", n=10**5000, trials=0)
 
     def test_word_ceiling(self):
         with pytest.raises(ResourceCeilingError):
@@ -655,6 +658,10 @@ class TestVerify:
         assert 2**15 > DEFAULT_WORD_CEILING
         with pytest.raises(ResourceCeilingError):
             verify("axioms", n=10**18)
+        # past Python's 4,300-digit limit the message still prints n
+        for suite in ("axioms", "comb_lemma"):
+            with pytest.raises(ResourceCeilingError, match=r"^2\^1000"):
+                verify(suite, n=10**5000)
 
 
 def _words(alphabet, longest):
