@@ -212,10 +212,9 @@ def _params_arg(args):
         except (OSError, UnicodeDecodeError) as err:
             raise ValidationError(f"cannot read params file {raw!r}: {err}", location="params")
         # inline params are bounded by the argument size of the OS, a file by
-        # the ceiling; the path is escaped, since Budget formats the message
-        name = repr(raw).replace("{", "{{").replace("}", "}}")
+        # the ceiling
         Budget(
-            DEFAULT_NODE_CEILING, f"params file {name} holds more than {{ceiling}} characters"
+            DEFAULT_NODE_CEILING, "params file {!r} holds more than {ceiling} characters", raw
         ).charge(len(text))
     return serialize.params_from_json(_load_json(text, "params"))
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 # naive is imported inside the three suites that check against it, so no
 # other computation loads it
-from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError, _any_int_digits, as_tuple, is_int
+from .errors import DEFAULT_NODE_CEILING, Budget, ValidationError, as_tuple, is_int
 from .params import IRRATIONAL, Params, ZClass
 from .realizations import (
     _check_characteristic,
@@ -159,9 +159,9 @@ def build_graph(
     node costs its ell components to enumerate and to store.
     """
     if not is_int(max_boxes) or max_boxes < 0:
-        raise ValidationError(f"max_boxes must be a nonnegative integer, got {max_boxes!r}")
+        raise ValidationError("max_boxes must be a nonnegative integer, got {!r}", max_boxes)
     if not is_int(node_ceiling) or node_ceiling < 0:
-        raise ValidationError(f"node_ceiling must be a nonnegative integer, got {node_ceiling!r}")
+        raise ValidationError("node_ceiling must be a nonnegative integer, got {!r}", node_ceiling)
     allowed = only = None
     if classes is not None:
         classes = as_tuple(classes, "classes must be a sequence of ZClass labels")
@@ -203,7 +203,7 @@ def string_decomposition(graph: CrystalGraph, z: ZClass) -> list[list[Multiparti
     """
     z = graph.params.coerce_class(z)
     if graph.classes is not None and z not in graph.classes:
-        raise ValidationError(f"graph was built without class {z}")
+        raise ValidationError("graph was built without class {}", z)
     nodes = graph.nodes
     succ = [-1] * len(nodes)
     has_pred = bytearray(len(nodes))
@@ -250,7 +250,7 @@ def verify(suite: str, **bounds) -> VerifyReport:
     """
     runner = SUITES.get(suite)
     if runner is None:
-        raise ValidationError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+        raise ValidationError("unknown suite {!r}; choose from {}", suite, sorted(SUITES))
     signature = inspect.signature(runner)
     try:
         args = signature.bind(**bounds)
@@ -261,10 +261,12 @@ def verify(suite: str, **bounds) -> VerifyReport:
     for name, value in args.arguments.items():
         want = Params if name == "params" else int
         if not (isinstance(value, Params) if want is Params else is_int(value)):
-            raise ValidationError(f"suite {suite!r}: {name} must be {want.__name__}, got {value!r}")
+            raise ValidationError(
+                "suite {!r}: {} must be {}, got {!r}", suite, name, want.__name__, value
+            )
     ceiling = args.arguments["ceiling"]
     if ceiling < 0:
-        raise ValidationError(f"suite {suite!r}: ceiling must be nonnegative, got {ceiling}")
+        raise ValidationError("suite {!r}: ceiling must be nonnegative, got {}", suite, ceiling)
     checked, counterexample, cases = 0, None, runner(**args.arguments)
     for counterexample in cases:
         checked += 1
@@ -274,7 +276,7 @@ def verify(suite: str, **bounds) -> VerifyReport:
     shown = {k: v for k, v in args.arguments.items() if k != "ceiling"}
     report = VerifyReport(suite, shown, counterexample is None, checked, counterexample)
     if report.passed and checked == 0:
-        raise ValidationError(f"suite {suite!r} checks nothing under the bounds {report.bounds}")
+        raise ValidationError("suite {!r} checks nothing under the bounds {}", suite, report.bounds)
     return report
 
 
@@ -285,11 +287,10 @@ def verify(suite: str, **bounds) -> VerifyReport:
 
 
 def _check_word_budget(n: int, ceiling: int) -> None:
-    # past the ceiling's bit length, 2**n alone can exhaust memory; the
-    # message prints n in full, however long
-    with _any_int_digits():
-        message = f"2^{n} words exceed the ceiling {{ceiling}}; raise it explicitly to proceed"
-    Budget(ceiling, message).charge(2**n if n <= ceiling.bit_length() else ceiling + 1)
+    # a negative n checks no word; past the ceiling's bit length, 2**n alone can exhaust memory
+    words = 0 if n < 0 else 2**n if n <= ceiling.bit_length() else ceiling + 1
+    message = "2^{} words exceed the ceiling {ceiling}; raise it explicitly to proceed"
+    Budget(ceiling, message, n).charge(words)
 
 
 def _verify_axioms(n: int = 14, ceiling: int = DEFAULT_WORD_CEILING):
@@ -325,12 +326,11 @@ def _verify_confluence(
     # least once; past the ceiling's bit length, a huge n never forms 2**n
     runs = max(trials, 1)
     rewrites = ((1 << max(n + 1, 0)) - 1) * runs if n <= ceiling.bit_length() else ceiling + 1
-    with _any_int_digits():
-        message = (
-            f"confluence would rewrite every word up to length {n} x {runs} trials, above the "
-            f"ceiling {{ceiling}}; raise it explicitly to proceed"
-        )
-    Budget(ceiling, message).charge(rewrites)
+    message = (
+        "confluence would rewrite every word up to length {} x {} trials, above the "
+        "ceiling {ceiling}; raise it explicitly to proceed"
+    )
+    Budget(ceiling, message, n, runs).charge(rewrites)
     from . import naive
 
     rng = random.Random(seed)
@@ -455,7 +455,7 @@ def _verify_gl_realization(
     n: int = 3, p: int = 3, entry_bound: int = 6, ceiling: int = DEFAULT_NODE_CEILING
 ):
     if n < 0:
-        raise ValidationError(f"gl_realization needs n >= 0, got {n}")
+        raise ValidationError("gl_realization needs n >= 0, got {}", n)
     _check_characteristic(p)
     i_values = range(p) if p else range(-1, entry_bound + 1)
     # closed forms, not len(i_values), which overflows for a huge p or

@@ -28,7 +28,7 @@ def as_tuple(value, must: str) -> tuple:
     try:
         return tuple(value)
     except TypeError:
-        raise ValidationError(f"{must}, got {value!r}") from None
+        raise ValidationError("{}, got {!r}", must, value) from None
 
 
 @contextlib.contextmanager
@@ -49,11 +49,15 @@ def _any_int_digits():
 
 
 class CrystalError(Exception):
+    """Its message is `message.format(*args)`, ints in full, or without args `message` as it is."""
 
     code = "ERROR"
     exit_code = 1
 
-    def __init__(self, message: str, *, location: str | None = None):
+    def __init__(self, message: str, *args, location: str | None = None):
+        if args:
+            with _any_int_digits():
+                message = message.format(*args)
         super().__init__(message)
         self.message = message
         self.location = location
@@ -81,16 +85,16 @@ class ResourceCeilingError(CrystalError):
 
 class Budget:
     """Work charged against a ceiling.  Once `spent` passes it, charge raises
-    ResourceCeilingError with `message`, its {spent} and {ceiling} filled in only then."""
+    ResourceCeilingError with `message` filled in from `args`, {spent} and {ceiling} only then."""
 
-    __slots__ = ("ceiling", "message", "spent")
+    __slots__ = ("ceiling", "message", "args", "spent")
 
-    def __init__(self, ceiling: int, message: str):
-        self.ceiling, self.message, self.spent = ceiling, message, 0
+    def __init__(self, ceiling: int, message: str, *args):
+        self.ceiling, self.message, self.args, self.spent = ceiling, message, args, 0
 
     def charge(self, n: int = 1) -> None:
         self.spent += n
         if self.spent > self.ceiling:
             with _any_int_digits():
-                message = self.message.format(spent=self.spent, ceiling=self.ceiling)
+                message = self.message.format(*self.args, spent=self.spent, ceiling=self.ceiling)
             raise ResourceCeilingError(message)

@@ -69,13 +69,13 @@ class Params:
 
     def __post_init__(self):
         if not is_int(self.ell) or self.ell < 1:
-            raise ValidationError(f"ell must be a positive integer, got {self.ell!r}")
+            raise ValidationError("ell must be a positive integer, got {!r}", self.ell)
         charges = as_tuple(self.charges, "charges must be a sequence of integers")
         for s in charges:
             if not is_int(s):
-                raise ValidationError(f"charges must be integers, got {s!r}")
+                raise ValidationError("charges must be integers, got {!r}", s)
         if len(charges) != self.ell:
-            raise ValidationError(f"expected {self.ell} charges, got {len(charges)}")
+            raise ValidationError("expected {} charges, got {}", self.ell, len(charges))
         object.__setattr__(self, "charges", charges)
         k = self.kappa
         if isinstance(k, _IrrationalKappa):
@@ -114,7 +114,7 @@ class Params:
                 else "irrational kappa indexes classes by exact content"
             )
         if not is_int(z.value):
-            raise ValidationError(f"class value must be an integer, got {z.value!r}")
+            raise ValidationError("class value must be an integer, got {!r}", z.value)
         return ZClass("residue", z.value % self.e) if self.is_rational else z
 
 
@@ -148,7 +148,8 @@ def cyclotomic_c(params: Params) -> tuple[Fraction, tuple[complex, ...]]:
     ell = params.ell
     Budget(
         DEFAULT_NODE_CEILING,
-        f"cyclotomic_c at ell={ell} sums {{spent}} terms, above the ceiling {{ceiling}}",
+        "cyclotomic_c at ell={} sums {spent} terms, above the ceiling {ceiling}",
+        ell,
     ).charge((ell - 1) ** 2)
     c0 = -params.kappa
     # exp(-2 pi i * ij / ell) depends on ij mod ell only

@@ -43,7 +43,7 @@ class ZBoundary:
 def _check_pair(params: Params, m: Multipartition) -> None:
     if m.ell != params.ell:
         raise ValidationError(
-            f"multipartition has {m.ell} components, parameters expect {params.ell}"
+            "multipartition has {} components, parameters expect {}", m.ell, params.ell
         )
 
 
@@ -137,7 +137,7 @@ def class_member(params: Params, m: Multipartition, z: ZClass, word: str) -> Mul
     _, boxes, _ = _class_word(params, m, z)
     if len(word) != len(boxes):
         raise ValidationError(
-            f"word length {len(word)} does not match boundary size {len(boxes)}"
+            "word length {} does not match boundary size {}", len(word), len(boxes)
         )
     return _member(m, boxes, word)
 
@@ -199,8 +199,8 @@ def _kgroup(params: Params, m: Multipartition, z: ZClass, sym: str) -> list[Mult
     op = "induction" if sym == PLUS else "restriction"
     Budget(
         DEFAULT_NODE_CEILING,
-        f"kgroup {op} would build {{spent}} components (results x ell), "
-        f"above the ceiling {{ceiling}}",
+        "kgroup {} would build {spent} components (results x ell), above the ceiling {ceiling}",
+        op,
     ).charge(sign.count(sym) * m.ell)
     step = m.add_box if sym == PLUS else m.remove_box
     return [step(box) for box, s in zip(boxes, sign) if s == sym]
@@ -213,15 +213,15 @@ def check_dominant_weight(entries) -> tuple[int, ...]:
     w = as_tuple(entries, "weight must be a sequence of integers")
     for x in w:
         if not is_int(x):
-            raise ValidationError(f"weight entries must be integers, got {x!r}")
+            raise ValidationError("weight entries must be integers, got {!r}", x)
     if not all(a > b for a, b in zip(w, w[1:])):
-        raise ValidationError(f"weight must be strictly decreasing, got {w}")
+        raise ValidationError("weight must be strictly decreasing, got {}", w)
     return w
 
 
 def _check_characteristic(p: int) -> None:
     if not is_int(p) or p < 0 or (p != 0 and not _is_prime(p)):
-        raise ValidationError(f"characteristic must be 0 or a prime, got {p!r}")
+        raise ValidationError("characteristic must be 0 or a prime, got {!r}", p)
 
 
 # Miller-Rabin with the first 13 prime bases is exact below psi_13
@@ -232,7 +232,7 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 def _is_prime(n: int) -> bool:
     if n >= _MR_LIMIT:
-        raise ResourceCeilingError(f"primality of {n} is only decided below {_MR_LIMIT}")
+        raise ResourceCeilingError("primality of {} is only decided below {}", n, _MR_LIMIT)
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -268,7 +268,7 @@ def _gl_word(weight, i: int, p: int) -> tuple[tuple[int, ...], list[int], str]:
     w = check_dominant_weight(weight)
     _check_characteristic(p)
     if not is_int(i):
-        raise ValidationError(f"class index must be an integer, got {i!r}")
+        raise ValidationError("class index must be an integer, got {!r}", i)
     return _gl_read(w, i, p)
 
 

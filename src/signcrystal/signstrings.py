@@ -103,7 +103,7 @@ def suffix_h_minus(t: str, k: int) -> int:
     """h_minus of the suffix starting at position k; k = n+1 gives 0."""
     check_sign_string(t)
     if not 1 <= k <= len(t) + 1:
-        raise ValidationError(f"suffix start {k} out of range 1..{len(t) + 1}")
+        raise ValidationError("suffix start {} out of range 1..{}", k, len(t) + 1)
     return _reduce(t[k - 1:]).count(MINUS)
 
 
@@ -114,7 +114,7 @@ def succ_compare(a: str, b: str) -> int:
     check_sign_string(a)
     check_sign_string(b)
     if len(a) != len(b):
-        raise ValidationError(f"cannot compare words of lengths {len(a)} and {len(b)}")
+        raise ValidationError("cannot compare words of lengths {} and {}", len(a), len(b))
     # read from the right, '-' sorts above '+' in ASCII
     ra, rb = a[::-1], b[::-1]
     return (ra > rb) - (ra < rb)
@@ -139,8 +139,8 @@ def _flips(t: str, old: str, new: str) -> list[tuple[int, str]]:
     check_sign_string(t)
     Budget(
         DEFAULT_NODE_CEILING,
-        f"flips of a word of length {len(t)} would write {{spent}} symbols, "
-        f"above the ceiling {{ceiling}}",
+        "flips of a word of length {} would write {spent} symbols, above the ceiling {ceiling}",
+        len(t),
     ).charge(len(t) * t.count(old))
     return [(i + 1, t[:i] + new + t[i + 1:]) for i, s in enumerate(t) if s == old]
 

@@ -27,14 +27,14 @@ def check_partition(rows: Iterable[int]) -> Partition:
     parts = as_tuple(rows, "partition rows must be a sequence of integers")
     for r in parts:
         if not is_int(r):
-            raise ValidationError(f"partition rows must be integers, got {r!r}")
+            raise ValidationError("partition rows must be integers, got {!r}", r)
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     for a, b in zip(parts, parts[1:]):
         if a < b:
-            raise ValidationError(f"partition rows must be weakly decreasing, got {parts}")
+            raise ValidationError("partition rows must be weakly decreasing, got {}", parts)
     if parts and parts[-1] < 0:
-        raise ValidationError(f"partition rows must be nonnegative, got {parts}")
+        raise ValidationError("partition rows must be nonnegative, got {}", parts)
     return parts
 
 
@@ -117,21 +117,21 @@ class Multipartition:
         part = self._component(box.comp)
         j = box.row - 1
         if not (0 <= j <= len(part) and box.col == _width(part, j) + 1 and _addable_row(part, j)):
-            raise ValidationError(f"box {tuple(box)} is not addable in component {box.comp}")
+            raise ValidationError("box {} is not addable in component {}", tuple(box), box.comp)
         return self._replace_component(box.comp, part[:j] + (_width(part, j) + 1,) + part[j + 1:])
 
     def remove_box(self, box: BoxRef) -> "Multipartition":
         part = self._component(box.comp)
         j = box.row - 1
         if not (0 <= j < len(part) and box.col == part[j] and _removable_row(part, j)):
-            raise ValidationError(f"box {tuple(box)} is not removable in component {box.comp}")
+            raise ValidationError("box {} is not removable in component {}", tuple(box), box.comp)
         # only a last row of length 1 empties, and it is dropped
         rest = part[j + 1:] if part[j] == 1 else (part[j] - 1,) + part[j + 1:]
         return self._replace_component(box.comp, part[:j] + rest)
 
     def _component(self, ci: int) -> Partition:
         if not 0 <= ci < len(self.components):
-            raise ValidationError(f"component {ci} out of range for ell={len(self.components)}")
+            raise ValidationError("component {} out of range for ell={}", ci, len(self.components))
         return self.components[ci]
 
     def _replace_component(self, ci: int, part: Partition) -> "Multipartition":

@@ -554,6 +554,9 @@ class TestVerifyCommand:
             # n above the weight count forms no weight, however large
             ("gl_realization", "--n", "9223372036854775807"),
             ("gl_realization", "--n", "9223372036854775808"),
+            # a negative n checks no word, however large
+            ("axioms", "--n", str(-10**400)),
+            ("comb_lemma", "--n", str(-10**400)),
         ],
     )
     def test_empty_suite_rejected(self, capsys, bounds):
@@ -726,6 +729,13 @@ class TestErrors:
             assert err.exit_code == exit_code
         with pytest.raises(TypeError):
             errors.ValidationError("m", code="OTHER")
+
+    def test_message_is_formatted_only_with_values(self, monkeypatch):
+        # without values the message is used as it is, braces and all
+        assert errors.ValidationError("a {b}").message == "a {b}"
+        # Python 3.10.0-3.10.6 has no digit limit, nor its setter
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        assert errors.ValidationError("got {!r}", 5).message == "got 5"
 
 
 # graph's --z and verify's --max-boxes show that a value given in one call

@@ -1,7 +1,10 @@
 """The package's public names: the same 45 objects as their submodules',
-re-exported lazily, so that importing the package loads no submodule."""
+re-exported lazily, so that importing the package loads no submodule; and
+the one module that formats error text."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +71,21 @@ def test_import_loads_no_submodule():
     done = run_cold("-c", probe)
     assert done.returncode == 0
     assert done.stdout.strip() == "[]"
+
+
+def test_errors_alone_formats_messages():
+    # errors fills in every message's values with ints in full; the CLI lifts
+    # the digit limit only to dump its JSON payload, and no template escapes
+    # braces for a later format
+    for path in sorted(Path(signcrystal.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "{{" not in text, path.name
+        lines = [
+            number for number, line in enumerate(text.splitlines(), 1)
+            if "_any_int_digits" in line and not line.startswith("from .errors import")
+        ]
+        if path.name == "cli.py":
+            main = next(f for f in ast.parse(text).body if getattr(f, "name", None) == "main")
+            assert lines and all(main.lineno <= n <= main.end_lineno for n in lines)
+        elif path.name != "errors.py":
+            assert "_any_int_digits" not in text, path.name

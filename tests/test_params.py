@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from signcrystal.errors import ResourceCeilingError, ValidationError
+from signcrystal.errors import CrystalError, ResourceCeilingError, ValidationError
 from signcrystal.params import (
     IRRATIONAL,
     Params,
@@ -12,9 +12,10 @@ from signcrystal.params import (
     hecke_parameters,
 )
 from signcrystal import realizations
-from signcrystal.engine import build_graph
+from signcrystal.engine import build_graph, verify
 from signcrystal.realizations import boundaries, boundary, check_dominant_weight, crystal_add, gl_word
 from signcrystal.serialize import complex_to_json, params_from_json, zclass_from_json
+from signcrystal.signstrings import suffix_h_minus
 from signcrystal.young import BoxRef, Multipartition, check_partition
 
 HALF = Fraction(1, 2)
@@ -174,6 +175,54 @@ def test_bool_is_not_an_integer(call, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert err.value.message == message
+
+
+# an int past Python's 4,300-digit str limit; its digits are written out,
+# since str(H) itself would raise
+H = 10**5000
+H_DIGITS = "1" + "0" * 5000
+ONE_BOX = Multipartition(((1,),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Params(H, HALF, (0,)),
+        lambda: Params(-H, HALF, (0,)),
+        lambda: Params(1, HALF, H),
+        lambda: check_partition([1, -H]),
+        lambda: check_partition([1, H]),
+        lambda: Multipartition(((1, -H),)),
+        lambda: suffix_h_minus("+-", H),
+        lambda: ONE_BOX.add_box(BoxRef(0, H, 1)),
+        lambda: ONE_BOX.add_box(BoxRef(H, 1, 1)),
+        lambda: ONE_BOX.remove_box(BoxRef(0, H, 1)),
+        lambda: build_graph(P, -H),
+        lambda: build_graph(P, 1, node_ceiling=-H),
+        lambda: gl_word((3, 2, 1), 0, -H),
+        lambda: gl_word((1, H), 0, 3),
+        lambda: gl_word((3, 2, 1), 0, H),
+        lambda: verify("axioms", n=3, ceiling=-H),
+        lambda: verify("axioms", n=-H),
+        lambda: verify("comb_lemma", n=-H),
+        lambda: verify("gl_realization", n=-H),
+        lambda: verify("gl_realization", p=-H),
+        lambda: verify("gl_realization", n=H),
+        lambda: verify("depth_irrational", max_boxes=-H),
+    ],
+    ids=[
+        "params_ell", "params_negative_ell", "params_charges", "partition_sign", "partition_order",
+        "multipartition", "suffix_start", "add_box_row", "add_box_component", "remove_box_row",
+        "max_boxes", "node_ceiling", "characteristic", "weight_order", "primality",
+        "suite_ceiling", "axioms_n", "comb_lemma_n", "gl_realization_n", "gl_realization_p",
+        "gl_realization_empty", "depth_irrational_empty",
+    ],
+)
+def test_huge_int_is_printed_in_full(call):
+    # a message prints every int it names in full, past the str limit
+    with pytest.raises(CrystalError) as err:
+        call()
+    assert H_DIGITS in err.value.message
 
 
 @pytest.mark.parametrize(
