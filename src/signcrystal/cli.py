@@ -21,11 +21,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message, location="argv")
 
 
-# flags whose value is a sign word; such values may start with '-' or even
-# be exactly '--', which argparse cannot digest, so they are pulled out of
-# argv before parsing
-_SIGN_FLAGS = {"--string": "string", "--other": "other"}
-_SIGN_FLAG_COMMANDS = {"reduce", "string-op", "class-member"}
+# each command's flags whose value is a sign word, as its subparser declares
+# them; such values may start with '-' or even be exactly '--', which
+# argparse cannot digest, so they are pulled out of argv before parsing
+_SIGN_FLAGS = {
+    "reduce": ("--string",),
+    "string-op": ("--string", "--other"),
+    "class-member": ("--string",),
+}
 
 
 def main(argv=None) -> int:
@@ -44,22 +47,19 @@ def main(argv=None) -> int:
             setattr(args, dest, value)
         result = args.handler(args)
     except CrystalError as err:
-        _emit(json.dumps(err.to_json(), sort_keys=True))
-        return err.exit_code
+        result = err.to_json(), err.exit_code
     payload, code = result if isinstance(result, tuple) else (result, 0)
-    if not isinstance(payload, str):
-        with _any_int_digits():
-            payload = json.dumps(payload, sort_keys=True)
-    _emit(payload)
+    # a payload is JSON data or a writer of its own text (graph's DOT); both
+    # render with the digit limit lifted, so every int prints in full
+    with _any_int_digits():
+        text = payload() if callable(payload) else json.dumps(payload, sort_keys=True) + "\n"
+    sys.stdout.write(text)
     return code
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _extract_sign_values(argv: list[str]) -> tuple[list[str], dict[str, str]]:
-    if not argv or argv[0] not in _SIGN_FLAG_COMMANDS:
+    flags = _SIGN_FLAGS.get(argv[0]) if argv else None
+    if flags is None:
         return argv, {}
     remaining: list[str] = []
     words: dict[str, str] = {}
@@ -68,11 +68,10 @@ def _extract_sign_values(argv: list[str]) -> tuple[list[str], dict[str, str]]:
         tok = argv[k]
         k += 1
         flag, eq, value = tok.partition("=")
-        dest = _SIGN_FLAGS.get(flag)
-        if dest is not None and eq:
-            words[dest] = value
-        elif dest is not None and k < len(argv) and _looks_like_word(argv[k]):
-            words[dest] = argv[k]
+        if flag in flags and eq:
+            words[flag[2:]] = value
+        elif flag in flags and k < len(argv) and _looks_like_word(argv[k]):
+            words[flag[2:]] = argv[k]
             k += 1
         else:
             remaining.append(tok)
@@ -352,7 +351,7 @@ def _cmd_graph(args):
         classes = [serialize.zclass_from_json(item, params) for item in obj]
     graph = engine.build_graph(params, args.max_boxes, classes=classes, node_ceiling=args.ceiling)
     if args.format == "dot":
-        return serialize.graph_to_dot(graph)
+        return lambda: serialize.graph_to_dot(graph)
     return serialize.graph_to_json(graph)
 
 

@@ -57,6 +57,7 @@ def _class_word(params: Params, m: Multipartition, z: ZClass) -> tuple:
     """(z, boxes, sign word) of the one class z: `_merge` of that class
     alone, with no boxes and an empty word when m does not meet it."""
     z = params.coerce_class(z)
+    _check_pair(params, m)
     merged = _merge(params, m, {}, (z.value,))
     return (z,) + merged[0][1:] if merged else (z, (), "")
 
@@ -72,6 +73,7 @@ def boundaries(params: Params, m: Multipartition) -> dict[ZClass, ZBoundary]:
     share it (see `params`); `naive.d_comes_before` and the tests' oracle,
     which keep the paper's Fraction d, check both.
     """
+    _check_pair(params, m)
     table = {}
     for value, boxes, sign in _merge(params, m, {}, None):
         z = ZClass(params.class_kind, value)
@@ -101,8 +103,8 @@ def _merge(params: Params, m: Multipartition, corner_table: dict, only) -> list:
     by class into (class value, boxes, sign word) tuples, in class order.
     `corner_table` maps (component, rows) to `_corners` and may be shared
     by calls with the same params; `only`, when not None, holds the class
-    values (residues, or contents for irrational kappa) to build."""
-    _check_pair(params, m)
+    values (residues, or contents for irrational kappa) to build.  m must
+    have params.ell components: callers check a label where it enters."""
     found: dict[int, list] = defaultdict(list)
     for comp, part in enumerate(m.components):
         key = (comp, part)

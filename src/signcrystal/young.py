@@ -28,8 +28,10 @@ def check_partition(rows: Iterable[int]) -> Partition:
     for r in parts:
         if not is_int(r):
             raise ValidationError("partition rows must be integers, got {!r}", r)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
+    end = len(parts)
+    while end and parts[end - 1] == 0:
+        end -= 1
+    parts = parts[:end]
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise ValidationError("partition rows must be weakly decreasing, got {}", parts)

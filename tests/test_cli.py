@@ -205,6 +205,21 @@ class TestKGroupAndClassMember:
         assert code == 0
         assert data == {"result": [[2, 1]]}
 
+    def test_class_member_undeclared_sign_flag(self, capsys):
+        # --other is string-op's alone: class-member exits 2 on it
+        code, data = run_json(
+            capsys,
+            "class-member",
+            "--params", PARAMS_HALF, "--mp", "[[2]]", "--class", '{"residue":1}',
+            "--string", "--", "--other", "-+",
+        )
+        assert code == 2
+        assert data["error"] == {
+            "code": "VALIDATION",
+            "location": "argv",
+            "message": "unrecognized arguments: --other -+",
+        }
+
 
 class TestGlOp:
     def test_sign(self, capsys):
@@ -362,6 +377,26 @@ class TestLargeIntegers:
                 "message": f"depth walks up to {TWICE_BIG_INPUT} steps, above the ceiling 2000000",
             }
         }
+
+    def test_graph_dot_content(self, capsys):
+        # the DOT text is rendered inside main's lifted limit, as JSON is
+        code, out = run_cli(
+            capsys, "graph",
+            "--params", f'{{"ell":1,"kappa":"irrational","charges":[{BIG_INPUT}]}}',
+            "--max-boxes", "2", "--format", "dot",
+        )
+        assert code == 0
+        assert out == (
+            "digraph crystal {\n"
+            '  n0 [label="[[]]"];\n'
+            '  n1 [label="[[1]]"];\n'
+            '  n2 [label="[[1,1]]"];\n'
+            '  n3 [label="[[2]]"];\n'
+            f'  n0 -> n1 [label="z=cont {BIG_INPUT}, box=(0,1,1)"];\n'
+            f'  n1 -> n2 [label="z=cont {"9" * 4299}8, box=(0,2,1)"];\n'
+            f'  n1 -> n3 [label="z=cont {BIG_INPUT_PLUS_1}, box=(0,1,2)"];\n'
+            "}\n"
+        )
 
     def test_input_past_the_limit_is_rejected(self, capsys):
         code, data = run_json(capsys, "depth", "--params", PARAMS_HALF, "--mp", f"[[{BIG_INPUT}9]]")

@@ -278,6 +278,15 @@ PINS = [
      'prefix:{"error": {"code": "VALIDATION", "location": "mp", "message": "invalid JSON for mp: '),
     # a params file that is not UTF-8 exits 2
     (cli("depth", "--params", NOT_UTF8, "--mp", "[[1]]"), 2, None),
+    # the DOT text, like JSON, prints a 4,301-digit content in full
+    (cli("graph", "--params", params(1, "irrational", [int(N)]), "--max-boxes", "2",
+         "--format", "dot"), 0,
+     "sha256:f4d6b827f46147befb7b55e8758a9ef90bf1e5b6522860e8b0612494681974aa"),
+    # a sign-word flag the command does not declare is an unknown argument;
+    # argparse's text after a trailing "--" differs across versions
+    (cli("reduce", "--string", "-+", "--other", "--"), 2,
+     'prefix:{"error": {"code": "VALIDATION", "location": "argv", '
+     '"message": "unrecognized arguments: --other'),
 ]
 
 

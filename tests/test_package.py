@@ -75,7 +75,7 @@ def test_import_loads_no_submodule():
 
 def test_errors_alone_formats_messages():
     # errors fills in every message's values with ints in full; the CLI lifts
-    # the digit limit only to dump its JSON payload, and no template escapes
+    # the digit limit only to render its response, and no template escapes
     # braces for a later format
     for path in sorted(Path(signcrystal.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -89,3 +89,21 @@ def test_errors_alone_formats_messages():
             assert lines and all(main.lineno <= n <= main.end_lineno for n in lines)
         elif path.name != "errors.py":
             assert "_any_int_digits" not in text, path.name
+
+
+def test_cli_main_is_the_one_writer():
+    # every response, error, JSON or DOT, reaches stdout through one write in
+    # cli.main; no other source file writes or prints
+    for path in sorted(Path(signcrystal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writes = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout.write"
+            or isinstance(node, ast.Name) and node.id in ("print", "_emit")
+            or isinstance(node, ast.FunctionDef) and node.name == "_emit"
+        ]
+        if path.name == "cli.py":
+            main = next(f for f in tree.body if getattr(f, "name", None) == "main")
+            assert len(writes) == 1 and main.lineno <= writes[0] <= main.end_lineno, writes
+        else:
+            assert writes == [], path.name

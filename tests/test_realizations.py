@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from signcrystal.engine import build_graph, verify
+from signcrystal.engine import build_graph, depth, support, verify
 from signcrystal.errors import ResourceCeilingError, ValidationError
 from signcrystal.params import IRRATIONAL, Params, ZClass
 from signcrystal.realizations import (
@@ -278,6 +278,29 @@ class TestBoundary:
     def test_component_count_mismatch(self):
         with pytest.raises(ValidationError):
             boundary(P_HALF, Multipartition(((), ())), RES0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            partial(boundary, z=RES0),
+            boundaries,
+            partial(crystal_add, z=RES0),
+            partial(crystal_remove, z=RES0),
+            partial(kgroup_induction, z=RES0),
+            partial(kgroup_restriction, z=RES0),
+            partial(class_member, z=RES0, word=""),
+            partial(class_representative, z=RES0),
+            depth,
+            support,
+        ],
+        ids=lambda entry: getattr(entry, "func", entry).__name__,
+    )
+    def test_every_label_entry_checks_the_component_count(self, entry):
+        # `_merge` trusts its callers; each public (params, label) entry checks
+        with pytest.raises(
+            ValidationError, match="^multipartition has 2 components, parameters expect 1$"
+        ):
+            entry(P_HALF, Multipartition(((1,), ())))
 
     def test_weight_counts_kinds(self):
         for p in small_param_sets():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +42,24 @@ class TestPartitionValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             check_partition([3, -1])
+
+    @pytest.mark.parametrize(
+        "read",
+        [check_partition, lambda rows: Multipartition.from_lists([rows]).components[0]],
+        ids=["check_partition", "from_lists"],
+    )
+    def test_trailing_zeros_trim_in_linear_time(self, read):
+        start = time.perf_counter()
+        assert read([1] + [0] * 60_000) == (1,)
+        assert time.perf_counter() - start < 1.0
+
+    def test_trim_comes_before_the_order_check(self):
+        # only trailing zeros go: the message shows the inner zero
+        start = time.perf_counter()
+        message = r"^partition rows must be weakly decreasing, got \(2, 0, 1\)$"
+        with pytest.raises(ValidationError, match=message):
+            check_partition([2, 0, 1] + [0] * 60_000)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCorners:
