@@ -178,14 +178,19 @@ def build_graph(
         nodes[below:] = sorted(nodes[below:], key=attrgetter("components"))
     index = {mp.components: k for k, mp in enumerate(nodes)}
 
-    # the nodes of size max_boxes come last and take no box-adding edge
+    # the nodes of size max_boxes come last and take no box-adding edge.
+    # Few class words recur across many nodes, so each word's raising flip
+    # is read once per call
     zs: dict[int, ZClass] = {}
+    raising: dict[str, int] = {}
     corner_table: dict = {}
     edges = []
     for k in range(below):
         mp = nodes[k]
         for value, boxes, sign in _merge(params, mp, corner_table, only):
-            i = _flip_at(sign, True)  # the raising flip
+            i = raising.get(sign)
+            if i is None:
+                i = raising[sign] = _flip_at(sign, True)
             if i >= 0:
                 z = zs.get(value)
                 if z is None:
@@ -199,7 +204,9 @@ def string_decomposition(graph: CrystalGraph, z: ZClass) -> list[list[Multiparti
     """Maximal chains of class-z edges; untouched nodes become singletons.
 
     Per class the edges form disjoint directed paths, so the chains
-    partition the node set.
+    partition the node set.  One pass over the edges reads each as a
+    tuple and keeps those whose class value is z's: every edge of a graph
+    has its params' class kind.
     """
     z = graph.params.coerce_class(z)
     if graph.classes is not None and z not in graph.classes:
@@ -207,10 +214,11 @@ def string_decomposition(graph: CrystalGraph, z: ZClass) -> list[list[Multiparti
     nodes = graph.nodes
     succ = [-1] * len(nodes)
     has_pred = bytearray(len(nodes))
-    for edge in graph.edges:
-        if edge.z == z:
-            succ[edge.source] = edge.target
-            has_pred[edge.target] = 1
+    value = z.value
+    for source, target, ez, _ in graph.edges:
+        if ez.value == value:
+            succ[source] = target
+            has_pred[target] = 1
     chains = []
     for k, node in enumerate(nodes):
         if has_pred[k]:
@@ -316,6 +324,12 @@ def _verify_axioms(n: int = 14, ceiling: int = DEFAULT_WORD_CEILING):
                 d, j = down
                 if e_tilde(d) != (t, j):
                     yield {"word": t, "violated": "lower/raise inverse"}
+            # statistics and the flips are counted without a reduced word;
+            # this ties them to the one word reduced_form writes
+            r = reduced_form(t)
+            counted = (hp, hm, up[1] if up else 0, down[1] if down else 0)
+            if counted != (r.count(PLUS), r.count(MINUS), r.rfind(PLUS) + 1, r.find(MINUS) + 1):
+                yield {"word": t, "violated": "reduced form"}
             yield None
 
 
@@ -360,8 +374,8 @@ def _verify_comb_lemma(n: int = 12, ceiling: int = DEFAULT_WORD_CEILING):
                 for (_, u), (_, v) in zip(flips, flips[1:]):
                     if succ_compare(v, u) != 1:
                         yield {"word": t, "l": l, "violated": "flip order"}
-                j = next(idx for idx, (pos, _) in enumerate(flips) if pos == l)
-                if flips[j][1] != t:
+                j = next((idx for idx, (pos, _) in enumerate(flips) if pos == l), None)
+                if j is None or flips[j][1] != t:
                     yield {"word": t, "l": l, "violated": "flip identification"}
                 if hs[l] + 1 != hs[l - 1]:
                     yield {"word": t, "l": l, "violated": "claim 1"}

@@ -5,6 +5,11 @@ The reduced form of a word repeatedly cancels a '-' together with a later
 Equivalently, in a single left-to-right pass, each '+' cancels the nearest
 uncancelled '-' to its left.  Surviving symbols drive the statistics and
 the partial raising/lowering maps.  Positions are 1-based throughout.
+
+The statistics and the two flips are counted in that one pass, with no
+word written: a '-' opens, a '+' closes an open '-' or else survives.
+`reduced_form` alone writes the reduced word, and the axioms suite checks
+the counts and the flips against it.
 """
 
 from __future__ import annotations
@@ -34,12 +39,8 @@ def check_sign_string(t: str) -> str:
 
 
 def reduced_form(t: str) -> str:
+    """The word with every cancelled symbol written as '0'."""
     check_sign_string(t)
-    return _reduce(t)
-
-
-def _reduce(t: str) -> str:
-    """`reduced_form` of a word already known to be over '+'/'-'."""
     out = list(t)
     open_minus: list[int] = []
     for i, sym in enumerate(t):
@@ -51,10 +52,22 @@ def _reduce(t: str) -> str:
     return "".join(out)
 
 
+def _counts(t: str) -> tuple[int, int]:
+    """(h_plus, h_minus) of a word already known to be over '+'/'-'."""
+    plus = open_minus = 0
+    for sym in t:
+        if sym == MINUS:
+            open_minus += 1
+        elif open_minus:
+            open_minus -= 1
+        else:
+            plus += 1
+    return plus, open_minus
+
+
 def statistics(t: str) -> tuple[int, int]:
     """(h_plus, h_minus): counts of surviving '+' and '-'."""
-    r = reduced_form(t)
-    return r.count(PLUS), r.count(MINUS)
+    return _counts(check_sign_string(t))
 
 
 def h_plus(t: str) -> int:
@@ -93,10 +106,33 @@ def f_tilde(t: str) -> tuple[str, int] | None:
 def _flip_at(t: str, raising: bool) -> int:
     """0-based position of the raising flip (the rightmost '+' that survives
     reduction) or of the lowering flip (the leftmost surviving '-'), or -1
-    when the word has none; `t` must already be over '+'/'-'."""
+    when the word has none; `t` must already be over '+'/'-'.
+
+    A '+' survives when no '-' is open at it.  The leftmost surviving '-'
+    is the last one met with no '-' open, if it is still open at the end."""
+    at = -1
+    open_minus = 0
     if raising:
-        return _reduce(t).rfind(PLUS) if PLUS in t else -1
-    return _reduce(t).find(MINUS) if MINUS in t else -1
+        if PLUS not in t:
+            return -1
+        for i, sym in enumerate(t):
+            if sym == MINUS:
+                open_minus += 1
+            elif open_minus:
+                open_minus -= 1
+            else:
+                at = i
+        return at
+    if MINUS not in t:
+        return -1
+    for i, sym in enumerate(t):
+        if sym == MINUS:
+            if not open_minus:
+                at = i
+            open_minus += 1
+        elif open_minus:
+            open_minus -= 1
+    return at if open_minus else -1
 
 
 def suffix_h_minus(t: str, k: int) -> int:
@@ -104,7 +140,7 @@ def suffix_h_minus(t: str, k: int) -> int:
     check_sign_string(t)
     if not 1 <= k <= len(t) + 1:
         raise ValidationError("suffix start {} out of range 1..{}", k, len(t) + 1)
-    return _reduce(t[k - 1:]).count(MINUS)
+    return _counts(t[k - 1:])[1]
 
 
 def succ_compare(a: str, b: str) -> int:

@@ -805,6 +805,13 @@ PLANTED_FAULTS = [
            2, {"word": "+", "violated": "weight shift"}, "axioms weight shift"),
     _fault("axioms", {"n": 4}, engine, "e_tilde", _stale_memo,
            3, {"word": "-", "violated": "lower/raise inverse"}, "axioms lower/raise inverse"),
+    # a reduction that misses the cancellation in "-+", then one that
+    # moves the survivors of "+-" without changing their counts
+    _fault("axioms", {"n": 4}, engine, "reduced_form",
+           lambda real: lambda t: t if len(t) == 2 else real(t),
+           6, {"word": "-+", "violated": "reduced form"}, "axioms reduced form"),
+    _fault("axioms", {"n": 4}, engine, "reduced_form", lambda real: lambda t: real(t)[::-1],
+           5, {"word": "+-", "violated": "reduced form"}, "axioms reduced form flips"),
     _fault("confluence", {"n": 4, "trials": 2}, naive, "reductions",
            lambda real: lambda t, rng: itertools.repeat(t) if len(t) >= 3 else real(t, rng),
            19, {"word": "+-+", "expected": "+00", "got": "+-+"}, "confluence"),
@@ -816,6 +823,11 @@ PLANTED_FAULTS = [
     _fault("comb_lemma", {"n": 4}, engine, "plus_flips",
            lambda real: lambda t: [(i, t) for i, _ in real(t)] if t.count("+") == 1 else real(t),
            2, {"word": "-", "l": 1, "violated": "flip identification"}, "comb_lemma flip identification"),
+    # no flip at l at all: a report, not a StopIteration out of the runner
+    _fault("comb_lemma", {"n": 3}, engine, "plus_flips",
+           lambda real: lambda t: [f for f in real(t) if not (len(t) == 2 and f[0] == 2)],
+           4, {"word": "+-", "l": 2, "violated": "flip identification"},
+           "comb_lemma flip missing"),
     _fault("comb_lemma", {"n": 4}, engine, "suffix_h_minus",
            lambda real: lambda t, k: real(t, k) + (k == 1 and t.startswith("-")),
            2, {"word": "-", "l": 1, "violated": "claim 1"}, "comb_lemma claim 1"),

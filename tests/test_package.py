@@ -107,3 +107,28 @@ def test_cli_main_is_the_one_writer():
             assert len(writes) == 1 and main.lineno <= writes[0] <= main.end_lineno, writes
         else:
             assert writes == [], path.name
+
+
+def test_reduced_form_alone_writes_a_reduced_word():
+    # the statistics and flips count in one pass and write no word, so no
+    # source file keeps a second reducer, and reduced_form is called only
+    # where a reduced word is the result or the reference it is checked on
+    calls, names = set(), set()
+    for path in sorted(Path(signcrystal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.alias)):
+                names.add(node.name)
+            if isinstance(node, ast.FunctionDef):
+                calls |= {
+                    (path.stem, node.name) for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("reduced_form")
+                }
+    assert "_reduce" not in names
+    assert calls == {
+        ("cli", "_cmd_reduce"), ("engine", "_verify_confluence"), ("engine", "_verify_axioms"),
+    }

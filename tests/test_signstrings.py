@@ -22,6 +22,9 @@ from signcrystal.signstrings import (
 )
 
 words = st.text(alphabet="+-", max_size=24)
+# past the exhaustive length of 12, where the counting kernels' open '-'
+# can run deep
+long_words = st.text(alphabet="+-", max_size=60)
 
 
 def all_words_up_to(n):
@@ -91,6 +94,21 @@ class TestStatistics:
     def test_weight_already_reduced(self):
         assert weight("--") == 2
 
+    def test_counts_match_oracle_exhaustive(self):
+        # every suffix of a word is a shorter word, so one table serves every k
+        expected = {t: oracles.counts(t) for t in all_words_up_to(12)}
+        for t, counts in expected.items():
+            assert statistics(t) == (h_plus(t), h_minus(t)) == counts
+            suffixes = [suffix_h_minus(t, k) for k in range(1, len(t) + 2)]
+            assert suffixes == [expected[t[k:]][1] for k in range(len(t) + 1)]
+
+    @given(long_words)
+    def test_counts_match_oracle_long(self, t):
+        counts = oracles.counts(t)
+        assert statistics(t) == (h_plus(t), h_minus(t)) == counts
+        for k in range(1, len(t) + 2):
+            assert suffix_h_minus(t, k) == oracles.counts(t[k - 1:])[1]
+
     @given(words)
     def test_weight_is_count_difference(self, t):
         assert weight(t) == t.count("-") - t.count("+")
@@ -125,6 +143,12 @@ class TestOperators:
             assert f_tilde(t) == down
             assert _flip_at(t, True) == (-1 if up is None else up[1] - 1)
             assert _flip_at(t, False) == (-1 if down is None else down[1] - 1)
+
+    @given(long_words)
+    def test_flips_match_oracle_long(self, t):
+        up, down = oracles.raise_word(t), oracles.lower_word(t)
+        assert _flip_at(t, True) == (-1 if up is None else up[1] - 1)
+        assert _flip_at(t, False) == (-1 if down is None else down[1] - 1)
 
     def test_axioms_exhaustive(self):
         for t in all_words_up_to(9):
